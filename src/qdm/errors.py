@@ -14,7 +14,7 @@ class UnitarityError(QdmError):
 
 
 class PositivityError(QdmError):
-    """A density matrix has a negative eigenvalue beyond tolerance."""
+    """A density matrix is not Hermitian, unit trace and positive within tolerance."""
 
 
 class EmptySubspaceError(QdmError):
@@ -31,10 +31,6 @@ class DegenerateBasisError(QdmError):
 
 class DegenerateSteadyStateError(QdmError):
     """The Liouvillian null space is not one dimensional."""
-
-
-class StiffnessError(QdmError):
-    """The adaptive integrator collapsed its step size."""
 
 
 class ConvergenceTimeoutError(QdmError):

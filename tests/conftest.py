@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from qdm.basis import effective6
 from qdm.dissipators import assemble_liouvillian, spontaneous_collapse_ops
 from qdm.hamiltonians import build_effective_hamiltonian
-from qdm.operators import DensityMatrix
-from qdm.params import DriveParams
+from qdm.operators import DensityMatrix, unvectorize, vectorize
+from qdm.params import HBAR_UEV_NS, DriveParams
 
 
 @pytest.fixture
@@ -51,3 +52,21 @@ def random_density(dim, seed):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / rho.trace()
+
+
+def dop853_reference(sup, rho0, t_ns):
+    """rho(t_ns) from an adaptive DOP853 integration of the generator.
+
+    An oracle independent of the package's exact propagation layer; meant for
+    non-stiff generators such as effective6's.
+    """
+    sol = solve_ivp(
+        lambda _t, y: sup.matrix @ y,
+        (0.0, t_ns / HBAR_UEV_NS),
+        vectorize(rho0.matrix),
+        method="DOP853",
+        rtol=1e-8,
+        atol=1e-12,
+    )
+    assert sol.success, sol.message
+    return unvectorize(sol.y[:, -1], rho0.dim)

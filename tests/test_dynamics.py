@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
-from conftest import random_density
+from conftest import dop853_reference, random_density
+from qdm import dynamics
 from qdm.basis import state_vector
 from qdm.dynamics import (
     adiabatic_validity,
@@ -12,7 +18,12 @@ from qdm.dynamics import (
     steady_state,
 )
 from qdm.dissipators import assemble_liouvillian, spontaneous_collapse_ops
-from qdm.errors import ConvergenceTimeoutError, DegenerateSteadyStateError, DomainError
+from qdm.errors import (
+    ConvergenceTimeoutError,
+    DegenerateSteadyStateError,
+    DomainError,
+    PositivityError,
+)
 from qdm.hamiltonians import build_effective_hamiltonian
 from qdm.operators import DensityMatrix, Superoperator, trace_distance, vectorize
 from qdm.params import DriveParams
@@ -33,10 +44,53 @@ def test_evolve_requires_ascending_grid(liouv6, paper_mixture):
 
 
 def test_evolve_matches_propagator(liouv6, paper_mixture):
+    reference = dop853_reference(liouv6, paper_mixture, 3.0)
     traj = evolve(paper_mixture, liouv6, np.array([0.0, 3.0]))
     direct = propagator_expm(liouv6, 3.0).apply(paper_mixture.matrix)
-    dist = 0.5 * la.svdvals(traj.final_state.matrix - direct).sum()
-    assert dist < 1e-8
+    for rho in (traj.final_state.matrix, direct):
+        assert 0.5 * la.svdvals(rho - reference).sum() < 1e-8
+
+
+def test_evolve_uniform_grid_computes_one_expm(liouv6, paper_mixture, monkeypatch):
+    calls = []
+    expm = dynamics.la.expm
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(dynamics.la, "expm", counting_expm)
+    # np.diff of this grid takes 9 distinct values, a few ULP apart
+    traj = evolve(paper_mixture, liouv6, np.linspace(0.0, 30.0, 201))
+    assert len(traj) == 201
+    assert calls == [(36, 36)]
+
+
+def test_evolve_nonuniform_grid_matches_propagator(liouv6, paper_mixture):
+    ts = np.array([0.0, 2.0, 5.0, 12.0, 30.0, 50.0])
+    traj = evolve(paper_mixture, liouv6, ts)
+    for t, st in zip(ts, traj.states):
+        direct = propagator_expm(liouv6, t).apply(paper_mixture.matrix)
+        assert np.abs(st.matrix - direct).max() < 1e-12
+
+
+def test_evolve_rejects_trace_loss(basis6, paper_mixture):
+    leaky = Superoperator(basis6, -0.01 * np.eye(36))
+    with pytest.raises(PositivityError, match="trace"):
+        evolve(paper_mixture, leaky, np.linspace(0.0, 10.0, 5))
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qdm; print('scipy.integrate' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_evolve_positivity_and_trace_along_trajectory(liouv6, paper_mixture):
