@@ -31,7 +31,7 @@ print()
 
 print("steady concurrence over (temperature, tunneling rate):")
 sweep = sweep_temperature(
-    presets["fig4b"], [0.0, 1.0, 2.0, 4.0], [0.0, 1000.0, 2000.0, 3000.0], jobs=4
+    presets["fig4b"], [0.0, 1.0, 2.0, 4.0], [0.0, 1000.0, 2000.0, 3000.0]
 )
 print("  T [K]    t_e = 0      1 meV      2 meV      3 meV")
 temps = sorted({row[0] for row in sweep.rows})

@@ -198,7 +198,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             omega_grid=[omega],
             omega_m_grid=list(np.linspace(0.1 * omega, omega, 15)),
             gamma_grid=[config.drive.gamma0],
-            jobs=args.jobs,
         )
         summary: dict = {
             "argmin_omega_m": {f"{k[0]}_{k[1]}": v for k, v in result.summary["argmin_omega_m"].items()},
@@ -208,7 +207,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             config,
             T_grid=[0.0, 0.5, 1.0, 2.0, 4.0],
             te_grid=[0.0, 1000.0, 2000.0, 3000.0],
-            jobs=args.jobs,
         )
         summary = {}
     _write_csv(out / "sweep.csv", list(result.columns), [list(r) for r in result.rows])
@@ -303,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run a preset parameter sweep")
     sweep_p.add_argument("--preset", required=True, choices=["fig3b", "fig4b"])
     sweep_p.add_argument("--out", required=True)
-    sweep_p.add_argument("--jobs", type=int, default=os.cpu_count())
     sweep_p.set_defaults(func=_cmd_sweep)
 
     calc_p = sub.add_parser("calc", help="print derived physical parameters")

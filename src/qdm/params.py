@@ -86,15 +86,6 @@ class CouplingParams:
         return cls(v_f=v_f, v_xx=v_xx, t_e=t_e, omega=omega, omega_t=v_f + omega - delta)
 
 
-def hierarchy_ok(drive: DriveParams, coupling: CouplingParams) -> bool:
-    """Separation of scales required by the adiabatic elimination.
-
-    True when ``max(Omega, Omega_m) <= |V_F|/5`` and ``|V_F| <= V_xx/5``.
-    """
-    vf = abs(coupling.v_f)
-    return max(drive.omega, drive.omega_m) <= vf / 5 and vf <= coupling.v_xx / 5
-
-
 @dataclass(frozen=True)
 class DotGeometry:
     """Dot wave-function lengths and spacing, in nm."""

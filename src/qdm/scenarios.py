@@ -11,7 +11,6 @@ import dataclasses
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,6 +79,10 @@ class ScenarioConfig:
             )
         if self.tunneling and self.model not in ("effective8", "full16"):
             raise ConfigError("tunneling requires model effective8 or full16")
+        if self.model == "full16" and not (self.tunneling and self.coupling.t_e != 0.0):
+            # at t_e = 0 the inter-dot trion sector decouples and the steady
+            # state is degenerate
+            raise ConfigError("model full16 requires tunneling=True with nonzero coupling.t_e")
         start, stop, points = self.t_grid
         if start != 0.0 or stop <= start or int(points) < 2:
             raise ConfigError("t_grid must be (0, stop > 0, points >= 2)")
@@ -179,23 +182,35 @@ def _t0_ceiling_ns(config: ScenarioConfig) -> float:
     return max(config.t_grid[1], 50.0 * HBAR_UEV_NS / config.drive.gamma_total)
 
 
+def _solve(
+    config: ScenarioConfig,
+) -> tuple[Superoperator, DensityMatrix, DensityMatrix, float, float, float]:
+    """The per-point pipeline shared by runs and sweeps.
+
+    Returns (generator, initial state, steady state, T0 ns, steady
+    concurrence, steady leak).
+    """
+    liouv = build_liouvillian(config)
+    rho0 = initial_state(config, liouv.basis)
+    # solve the fixed point first: a degenerate generator should surface
+    # as such, not as a failed T0 search later on
+    steady = steady_state(liouv)
+    t0 = characteristic_time(
+        liouv,
+        rho0,
+        epsilon=config.epsilon_T0,
+        t_max_ns=_t0_ceiling_ns(config),
+        steady=steady,
+    )
+    c_ss, leak_ss = qubit_concurrence(steady)
+    return liouv, rho0, steady, t0, c_ss, leak_ss
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Evolve, solve the steady state, and extract the characteristic time."""
     try:
-        liouv = build_liouvillian(config)
-        rho0 = initial_state(config, liouv.basis)
-        # solve the fixed point first: a degenerate generator should surface
-        # as such, not as an integration artifact later on
-        steady = steady_state(liouv)
+        liouv, rho0, steady, t0, c_ss, leak_ss = _solve(config)
         traj = evolve(rho0, liouv, config.times_ns())
-        t0 = characteristic_time(
-            liouv,
-            rho0,
-            epsilon=config.epsilon_T0,
-            t_max_ns=_t0_ceiling_ns(config),
-            steady=steady,
-        )
-        c_ss, leak_ss = qubit_concurrence(steady)
     except QdmError as exc:
         raise type(exc)(f"scenario {config.name!r}: {exc}") from exc
     return ScenarioResult(config, traj, steady, t0, c_ss, leak_ss)
@@ -211,30 +226,22 @@ class SweepResult:
     summary: dict[str, object]
 
 
-def _sweep_point_metrics(config: ScenarioConfig) -> tuple[float, float, float, str]:
-    """(steady concurrence, T0 ns, steady leak, error message) for one point."""
-    try:
-        liouv = build_liouvillian(config)
-        rho0 = initial_state(config, liouv.basis)
-        steady = steady_state(liouv)
-        t0 = characteristic_time(
-            liouv,
-            rho0,
-            epsilon=config.epsilon_T0,
-            t_max_ns=_t0_ceiling_ns(config),
-            steady=steady,
-        )
-        c_ss, leak = qubit_concurrence(steady)
-        return c_ss, t0, leak, ""
-    except QdmError as exc:
-        return math.nan, math.nan, math.nan, str(exc)
+def _sweep_rows(points: list[tuple], configs: list[ScenarioConfig]) -> tuple[tuple, ...]:
+    """One row per point: its grid values, then steady concurrence, T0 ns,
+    steady leak and error message.
 
-
-def _map_points(configs: list[ScenarioConfig], jobs: int | None) -> list[tuple]:
-    if jobs is not None and jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_point_metrics, configs))
-    return [_sweep_point_metrics(c) for c in configs]
+    Points run serially; a failed point gives NaNs and its message, and the
+    others still run.
+    """
+    rows = []
+    for point, config in zip(points, configs):
+        try:
+            _, _, _, t0, c_ss, leak_ss = _solve(config)
+        except QdmError as exc:
+            rows.append((*point, math.nan, math.nan, math.nan, str(exc)))
+        else:
+            rows.append((*point, c_ss, t0, leak_ss, ""))
+    return tuple(rows)
 
 
 def sweep_T0(
@@ -242,7 +249,6 @@ def sweep_T0(
     omega_grid: list[float],
     omega_m_grid: list[float],
     gamma_grid: list[float],
-    jobs: int | None = None,
 ) -> SweepResult:
     """Characteristic time over the drive-parameter grid.
 
@@ -264,11 +270,7 @@ def sweep_T0(
         )
         for om, omm, g in points
     ]
-    metrics = _map_points(configs, jobs)
-    rows = tuple(
-        (om, omm, g, c, t0, leak, err)
-        for (om, omm, g), (c, t0, leak, err) in zip(points, metrics)
-    )
+    rows = _sweep_rows(points, configs)
 
     argmin: dict[tuple[float, float], float] = {}
     best: dict[tuple[float, float], float] = {}
@@ -291,7 +293,6 @@ def sweep_temperature(
     config: ScenarioConfig,
     T_grid: list[float],
     te_grid: list[float],
-    jobs: int | None = None,
 ) -> SweepResult:
     """Steady concurrence over the (temperature, tunneling-rate) grid."""
     if not (T_grid and te_grid):
@@ -325,14 +326,9 @@ def sweep_temperature(
             configs.append(
                 replace(config, temperature=temp, coupling=coupling, tunneling=True)
             )
-    metrics = _map_points(configs, jobs)
-    rows = tuple(
-        (t, te, c, t0, leak, err)
-        for (t, te), (c, t0, leak, err) in zip(points, metrics)
-    )
     return SweepResult(
         columns=("T_K", "t_e_ueV", "concurrence_ss", "t0_ns", "leak", "error"),
-        rows=rows,
+        rows=_sweep_rows(points, configs),
         provenance={"config_hash": config.config_hash(), "artifact_version": ARTIFACT_VERSION},
         summary={},
     )

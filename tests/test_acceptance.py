@@ -150,7 +150,6 @@ def test_criterion_06_temperature_monotonicity(presets):
         presets["fig4b"],
         [0.0, 0.5, 1.0, 2.0, 4.0],
         [0.0, 1000.0, 2000.0, 3000.0],
-        jobs=4,
     )
     table = {}
     for t, te, c, _t0, _leak, err in sw.rows:

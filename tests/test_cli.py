@@ -108,7 +108,7 @@ def test_validate_passes(capsys):
 
 def test_sweep_fig3b(tmp_path):
     out = tmp_path / "s"
-    assert main(["sweep", "--preset", "fig3b", "--out", str(out), "--jobs", "4"]) == EXIT_OK
+    assert main(["sweep", "--preset", "fig3b", "--out", str(out)]) == EXIT_OK
     with (out / "sweep.csv").open() as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == [

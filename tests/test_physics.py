@@ -71,6 +71,10 @@ def test_wkb_tunneling_documented_reading():
 def test_form_factor_normalization_and_decay():
     assert abs(form_factor(0.0, 0.0, 4.4, 1.0) - 1.0) < 1e-14
     assert form_factor(1.0, 0.0, 4.4, 1.0) < form_factor(0.5, 0.0, 4.4, 1.0)
+    q = np.array([0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(
+        form_factor(q, q, 4.4, 1.0), [form_factor(x, x, 4.4, 1.0) for x in q]
+    )
 
 
 def test_piezo_angular_vanishes_on_axis():
@@ -78,6 +82,10 @@ def test_piezo_angular_vanishes_on_axis():
     # phi = 0 at theta = pi/2 is also a node; the diagonal direction is not
     assert abs(piezo_angular(math.pi / 2, 0.0, 1.4)) < 1e-14
     assert piezo_angular(math.pi / 2, math.pi / 4, 1.4) > 0
+    th, ph = np.array([0.0, 1.0, math.pi / 2]), np.array([0.3, 0.0, math.pi / 4])
+    np.testing.assert_array_equal(
+        piezo_angular(th, ph, 1.4), [piezo_angular(t, p, 1.4) for t, p in zip(th, ph)]
+    )
 
 
 def test_spectral_density_basic_properties():
@@ -98,6 +106,15 @@ def test_spectral_density_vanishes_for_identical_carriers():
     material = MaterialParams(d_e=5.0, d_h=5.0, m_p=0.0)
     assert spectral_density(30.0, "plus", geom, material) < 1e-30
     assert spectral_density(30.0, "minus", geom, material) < 1e-30
+
+
+def test_spectral_density_converges_where_it_underflows():
+    # the form factors drive J to ~7e-28 ueV at this Bohr frequency of full16
+    # with phonons at the fig4a coupling
+    geom, material = DotGeometry(), MaterialParams()
+    for parity in ("plus", "minus"):
+        j = spectral_density(40610.5, parity, geom, material)
+        assert math.isfinite(j) and j >= 0.0
 
 
 def test_bose_occupation_limits_and_detailed_balance():

@@ -41,6 +41,17 @@ def test_config_invariants():
     ScenarioConfig(phonons=True, temperature=0.0)
 
 
+def test_full16_rejected_at_zero_tunneling():
+    presets = scenario_presets()
+    assert presets["fig3a"].coupling.t_e == 0.0
+    for tunneling in (False, True):
+        with pytest.raises(ConfigError, match="full16"):
+            dataclasses.replace(presets["fig3a"], model="full16", tunneling=tunneling)
+    with pytest.raises(ConfigError, match="full16"):
+        dataclasses.replace(presets["fig4a"], model="full16", tunneling=False)
+    dataclasses.replace(presets["fig4a"], model="full16")
+
+
 def test_config_hash_is_stable_and_sensitive():
     a = ScenarioConfig()
     b = ScenarioConfig()
@@ -93,6 +104,14 @@ def test_sweep_T0_grid_and_argmin():
     argmin = sw.summary["argmin_omega_m"][(20.0, 1.2)]
     assert argmin == 9.0
     assert sw.provenance["config_hash"] == cfg.config_hash()
+
+
+def test_sweep_T0_row_matches_run_scenario():
+    cfg = scenario_presets()["fig3b"]
+    drive = cfg.drive
+    (row,) = sweep_T0(cfg, [drive.omega], [drive.omega_m], [drive.gamma0]).rows
+    result = run_scenario(cfg)
+    assert row[3:] == (result.steady_concurrence, result.t0_ns, result.steady_leak, "")
 
 
 def test_sweep_T0_records_failures():
