@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .basis import BasisKind, ModelBasis, state_vector
 from .errors import BasisMismatchError
@@ -145,7 +144,7 @@ def phonon_eigenoperators(
     if not H.is_hermitian(tol=1e-9):
         raise BasisMismatchError("phonon channels require a Hermitian Hamiltonian")
     o_sym, o_asym = _occupation_operators(H.basis)
-    energies, vecs = la.eigh(H.matrix)
+    energies, vecs = np.linalg.eigh(H.matrix)
     clusters = _eigen_clusters(energies)
     projectors = [vecs[:, c] @ vecs[:, c].conj().T for c in clusters]
     mean_e = [float(energies[c].mean()) for c in clusters]

@@ -6,10 +6,10 @@ hbar = 1 unit system, so every entry point converts through HBAR_UEV_NS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .basis import BasisKind, state_vector
 from .entanglement import qubit_concurrence
@@ -65,9 +65,46 @@ def _trajectory_from_states(times: np.ndarray, states: tuple[DensityMatrix, ...]
     return Trajectory(np.asarray(times, dtype=float), states, conc, leak, pops)
 
 
+#: Padé [13/13] coefficients b_0..b_13, and the 1-norm up to which that
+#: approximant's backward error stays below unit roundoff (Higham, SIAM J.
+#: Matrix Anal. Appl. 26, 1179 (2005)).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA_13 = 5.371920351148152
+
+
 def _propagator(gen: np.ndarray, t_ns: float) -> np.ndarray:
-    """exp(gen t) for a time `t_ns` in ns: the one way a state is propagated."""
-    return la.expm(gen * (t_ns / HBAR_UEV_NS))
+    """exp(gen t) for a time `t_ns` in ns: the one way a state is propagated.
+
+    Padé [13/13] with scaling and squaring, on numpy's BLAS only. No module
+    of the package may call SciPy's linalg: its wheel loads a second OpenBLAS
+    whose idle threads spin on the cores numpy's threads need, and switching
+    between the two libraries made a sweep three times slower.
+    """
+    a = gen * (t_ns / HBAR_UEV_NS)
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise DomainError(f"generator over {t_ns} ns has a non-finite norm")
+    ident = np.eye(a.shape[0], dtype=a.dtype)
+    if norm == 0.0:
+        return ident
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    # (V - U)^-1 (V + U), written as I + 2 (V - U)^-1 U: the identity stays
+    # exact, so the trace row drifts less over the squarings
+    r = ident + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Trajectory:
@@ -114,7 +151,7 @@ def steady_state(L: Superoperator) -> DensityMatrix:
     the null space is not one-dimensional within tolerance or the residual
     stays above threshold.
     """
-    ev, vecs = la.eig(L.matrix)
+    ev, vecs = np.linalg.eig(L.matrix)
     mags = np.abs(ev)
     null_count = int(np.sum(mags < NULL_EIGENVALUE_TOL))
     if null_count != 1:
@@ -126,11 +163,11 @@ def steady_state(L: Superoperator) -> DensityMatrix:
     v = vecs[:, int(np.argmin(mags))]
     try:
         shift = 1e-14 * max(np.abs(L.matrix).max(), 1.0)
-        refined = la.solve(L.matrix - shift * np.eye(L.matrix.shape[0]), v)
-        refined /= la.norm(refined)
-        if la.norm(L.matrix @ refined) < la.norm(L.matrix @ v):
+        refined = np.linalg.solve(L.matrix - shift * np.eye(L.matrix.shape[0]), v)
+        refined /= np.linalg.norm(refined)
+        if np.linalg.norm(L.matrix @ refined) < np.linalg.norm(L.matrix @ v):
             v = refined
-    except la.LinAlgError:
+    except np.linalg.LinAlgError:
         pass
 
     dim = L.dim
@@ -140,7 +177,7 @@ def steady_state(L: Superoperator) -> DensityMatrix:
     if abs(tr) < 1e-12:
         raise DegenerateSteadyStateError("null vector has vanishing trace")
     rho = rho / tr
-    residual = la.norm(L.matrix @ vectorize(rho))
+    residual = np.linalg.norm(L.matrix @ vectorize(rho))
     if residual > STEADY_RESIDUAL_TOL:
         raise DegenerateSteadyStateError(f"steady-state residual {residual:.2e}")
     return DensityMatrix(L.basis, rho)

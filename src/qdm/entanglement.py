@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as la
 
 from .basis import BasisKind, ModelBasis, state_vector
 from .errors import EmptySubspaceError, PositivityError
@@ -53,7 +52,7 @@ def concurrence(rho2: DensityMatrix) -> float:
         raise PositivityError("concurrence expects a 4-dimensional two-qubit state")
     m = rho2.matrix
     R = m @ _YY @ m.conj() @ _YY
-    ev = la.eigvals(R).real
+    ev = np.linalg.eigvals(R).real
     if ev.min() < -POSITIVITY_TOL:
         raise PositivityError(f"concurrence eigenvalues negative: min {ev.min():.2e}")
     lam = np.sort(np.sqrt(np.clip(ev, 0.0, None)))[::-1]

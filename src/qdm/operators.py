@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
 from .basis import BasisKind, ModelBasis, full16, full9
 from .errors import BasisMismatchError, PositivityError, UnitarityError
@@ -70,7 +69,7 @@ class DensityMatrix:
             if abs(tr - 1.0) > TRACE_TOL:
                 raise PositivityError(f"density matrix trace {tr:.10f} != 1")
             m = (m + m.conj().T) / 2
-            wmin = float(la.eigvalsh(m).min())
+            wmin = float(np.linalg.eigvalsh(m).min())
             if wmin < -POSITIVITY_TOL:
                 raise PositivityError(f"density matrix min eigenvalue {wmin:.2e}")
         m.setflags(write=False)
@@ -169,4 +168,4 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 
 
 def trace_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> float:
-    return 0.5 * float(la.svdvals(m1 - m2).sum())
+    return 0.5 * float(np.linalg.svd(m1 - m2, compute_uv=False).sum())

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ from qdm.errors import (
 )
 from qdm.hamiltonians import build_effective_hamiltonian
 from qdm.operators import DensityMatrix, Superoperator, trace_distance, vectorize
-from qdm.params import DriveParams
+from qdm.params import HBAR_UEV_NS, DriveParams
+from qdm.scenarios import build_liouvillian, scenario_presets
 
 
 def test_zero_generator_is_identity_flow(basis6, paper_mixture):
@@ -53,13 +55,13 @@ def test_evolve_matches_propagator(liouv6, paper_mixture):
 
 def test_evolve_uniform_grid_computes_one_expm(liouv6, paper_mixture, monkeypatch):
     calls = []
-    expm = dynamics.la.expm
+    propagator = dynamics._propagator
 
-    def counting_expm(a):
-        calls.append(a.shape)
-        return expm(a)
+    def counting_propagator(gen, t_ns):
+        calls.append(gen.shape)
+        return propagator(gen, t_ns)
 
-    monkeypatch.setattr(dynamics.la, "expm", counting_expm)
+    monkeypatch.setattr(dynamics, "_propagator", counting_propagator)
     # np.diff of this grid takes 9 distinct values, a few ULP apart
     traj = evolve(paper_mixture, liouv6, np.linspace(0.0, 30.0, 201))
     assert len(traj) == 201
@@ -81,16 +83,25 @@ def test_evolve_rejects_trace_loss(basis6, paper_mixture):
 
 
 def test_import_leaves_scipy_integrate_unloaded():
+    """Importing qdm and running fig4a loads no scipy module at all.
+
+    scipy's wheel brings its own OpenBLAS, whose thread pool contends with
+    numpy's; a scipy call anywhere in the pipeline would load it.
+    """
     src = str(Path(dynamics.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys, qdm; qdm.run_scenario(qdm.scenario_presets()['fig4a']); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, qdm; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_evolve_positivity_and_trace_along_trajectory(liouv6, paper_mixture):
@@ -109,6 +120,26 @@ def test_propagator_identity_and_semigroup(liouv6):
     p2 = propagator_expm(liouv6, 2.2).matrix
     p3 = propagator_expm(liouv6, 3.5).matrix
     assert np.abs(p1 @ p2 - p3).max() < 1e-9
+
+
+def test_propagator_matches_scipy_expm():
+    presets = scenario_presets()
+    configs = [presets["fig3a"], presets["fig3a_full9"], presets["fig4a"]]
+    configs.append(replace(presets["fig4a"], name="full16", model="full16"))
+    for config in configs:
+        sup = build_liouvillian(config)
+        for t in (0.01, 0.195, 0.25, 5.0, 50.0):
+            reference = la.expm(sup.matrix * (t / HBAR_UEV_NS))
+            diff = np.abs(propagator_expm(sup, t).matrix - reference).max()
+            assert diff < 1e-9, (config.name, t, diff)
+        assert np.array_equal(propagator_expm(sup, 0.0).matrix, np.eye(sup.matrix.shape[0]))
+
+
+def test_propagator_rejects_non_finite_generator(basis6, liouv6):
+    gen = liouv6.matrix.copy()
+    gen[0, 0] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        propagator_expm(Superoperator(basis6, gen), 1.0)
 
 
 def test_propagator_preserves_hermiticity(liouv6):
