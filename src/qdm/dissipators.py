@@ -18,7 +18,7 @@ import numpy as np
 from .basis import BasisKind, ModelBasis, state_vector
 from .errors import BasisMismatchError
 from .hamiltonians import dot_operator_pair
-from .operators import OperatorMatrix, Superoperator, lindblad_term
+from .operators import OperatorMatrix, Superoperator
 from .params import DotGeometry, MaterialParams
 from .physics import bose_occupation, spectral_density
 
@@ -50,13 +50,19 @@ class CollapseSet:
     def merged(self, other: "CollapseSet") -> "CollapseSet":
         return CollapseSet(self.ops + other.ops, self.labels + other.labels)
 
+    def stacked(self, dim: int) -> np.ndarray:
+        """The operators as one ``(n, dim, dim)`` array, ``(0, dim, dim)`` if empty."""
+        return np.array([op.matrix for op in self.ops], dtype=complex).reshape(-1, dim, dim)
+
     def total_decay(self) -> np.ndarray:
-        """Sum of L^dag L, the anticommutator part of the dissipator."""
-        dim = self.ops[0].dim
-        out = np.zeros((dim, dim), dtype=complex)
-        for op in self.ops:
-            out += op.matrix.conj().T @ op.matrix
-        return out
+        """Sum of L^dag L, the anticommutator part of the dissipator.
+
+        An empty set has no dimension; its sum is the scalar 0.
+        """
+        if not self.ops:
+            return np.zeros((), dtype=complex)
+        ops = self.stacked(self.ops[0].dim)
+        return (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
 
 
 def _effective_spontaneous(gamma0: float, gamma1: float, basis: ModelBasis) -> CollapseSet:
@@ -204,13 +210,18 @@ def phonon_dissipator(
 def assemble_liouvillian(H: OperatorMatrix, collapse: CollapseSet) -> Superoperator:
     """Lindblad generator in the column-stacking convention.
 
-    ``L = -i (I (x) H - H^T (x) I) + sum_i D[L_i]`` acting on vec(rho).
+    ``L = sum_k conj(L_k) (x) L_k - i (I (x) H_eff - conj(H_eff) (x) I)`` on
+    vec(rho), with ``H_eff = H - (i/2) sum_k L_k^dag L_k``. The jump sum is one
+    ``(d^2, n) @ (n, d^2)`` product of the flattened operators, reordered from
+    ``[(i, k), (j, l)]`` to Kronecker order ``[(i, j), (k, l)]``.
     """
     for op in collapse.ops:
         if op.basis.labels != H.basis.labels:
             raise BasisMismatchError("collapse operators must share the Hamiltonian basis")
-    ident = np.eye(H.dim)
-    sup = -1j * (np.kron(ident, H.matrix) - np.kron(H.matrix.T, ident))
-    for op in collapse.ops:
-        sup = sup + lindblad_term(op).matrix
+    d = H.dim
+    flat = collapse.stacked(d).reshape(-1, d * d)
+    jumps = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    h_eff = H.matrix - 0.5j * collapse.total_decay()
+    ident = np.eye(d)
+    sup = jumps - 1j * (np.kron(ident, h_eff) - np.kron(h_eff.conj(), ident))
     return Superoperator(H.basis, sup)

@@ -23,8 +23,8 @@ from .operators import (
 )
 from .params import HBAR_UEV_NS
 
-#: An eigenvalue of the generator within this radius of zero counts as null.
-NULL_EIGENVALUE_TOL = 1e-9
+#: A singular value of the generator below this counts as null.
+NULL_SINGULAR_VALUE_TOL = 1e-9
 STEADY_RESIDUAL_TOL = 1e-9
 
 #: Default scan ceiling, 50 hbar / Gamma at the reference decay rate 1.2 ueV.
@@ -146,37 +146,25 @@ def propagator_expm(L: Superoperator, t_ns: float) -> Superoperator:
 def steady_state(L: Superoperator) -> DensityMatrix:
     """The unique fixed point of the generator.
 
-    Dense eigendecomposition, smallest-magnitude eigenvector, Hermitized and
-    trace-normalized, then polished by one inverse-iteration step. Raises if
-    the null space is not one-dimensional within tolerance or the residual
-    stays above threshold.
+    Direct solve: L with its first row replaced by the trace row, against
+    the right-hand side e_0, so the solution has unit trace by construction
+    (QuTiP's "direct" method, Johansson, Nation & Nori, arXiv:1110.0573).
+    Raises if the null space is not one-dimensional, counted as singular
+    values of L below NULL_SINGULAR_VALUE_TOL, or if the Hermitized
+    solution's residual exceeds STEADY_RESIDUAL_TOL.
     """
-    ev, vecs = np.linalg.eig(L.matrix)
-    mags = np.abs(ev)
-    null_count = int(np.sum(mags < NULL_EIGENVALUE_TOL))
+    sv = np.linalg.svd(L.matrix, compute_uv=False)
+    null_count = int(np.sum(sv < NULL_SINGULAR_VALUE_TOL))
     if null_count != 1:
-        gap = np.sort(mags)[:3]
         raise DegenerateSteadyStateError(
-            f"{null_count} null eigenvalues within {NULL_EIGENVALUE_TOL} "
-            f"(smallest magnitudes: {np.array2string(gap, precision=3)})"
+            f"{null_count} null singular values below {NULL_SINGULAR_VALUE_TOL} "
+            f"(smallest: {np.array2string(sv[::-1][:3], precision=3)})"
         )
-    v = vecs[:, int(np.argmin(mags))]
-    try:
-        shift = 1e-14 * max(np.abs(L.matrix).max(), 1.0)
-        refined = np.linalg.solve(L.matrix - shift * np.eye(L.matrix.shape[0]), v)
-        refined /= np.linalg.norm(refined)
-        if np.linalg.norm(L.matrix @ refined) < np.linalg.norm(L.matrix @ v):
-            v = refined
-    except np.linalg.LinAlgError:
-        pass
-
     dim = L.dim
-    rho = unvectorize(v, dim)
+    a = L.matrix.copy()
+    a[0] = vectorize(np.eye(dim))
+    rho = unvectorize(np.linalg.solve(a, np.eye(dim * dim, 1)[:, 0]), dim)
     rho = (rho + rho.conj().T) / 2
-    tr = rho.trace().real
-    if abs(tr) < 1e-12:
-        raise DegenerateSteadyStateError("null vector has vanishing trace")
-    rho = rho / tr
     residual = np.linalg.norm(L.matrix @ vectorize(rho))
     if residual > STEADY_RESIDUAL_TOL:
         raise DegenerateSteadyStateError(f"steady-state residual {residual:.2e}")
@@ -192,9 +180,10 @@ def characteristic_time(
 ) -> float:
     """First time (ns) the state comes within `epsilon` of the steady state.
 
-    Coarse matrix-exponential march over [0, t_max] followed by bisection of
-    the crossing bracket to 1% relative precision. Distance is trace distance
-    to the computed steady state.
+    Marches over [0, t_max] in _COARSE_STEPS steps of one propagator, then
+    bisects the crossing step to 1% relative precision with half-width
+    propagators squared from the finest: two Padé evaluations in all.
+    Distance is trace distance to `steady`, or to the steady state of L.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
@@ -225,18 +214,24 @@ def characteristic_time(
             f"state not within {epsilon} of the steady state by {t_max_ns:.4g} ns"
         )
 
-    # bisect inside [(k_hit - 1) dt, k_hit dt] using halved propagators
-    t_lo, t_hi = (k_hit - 1) * dt_ns, k_hit * dt_ns
-    v_lo = v
-    width = dt_ns
-    half_props: dict[int, np.ndarray] = {}
-    level = 0
-    while width > 0.01 * max(t_hi, dt_ns * 1e-3):
-        level += 1
+    # bisect inside [(k_hit - 1) dt, k_hit dt]. t_hi never drops below the
+    # lower end, so the halving stops by the depth whose width is 1% of it:
+    # that width is exponentiated once and each coarser one is its square
+    def resolved(width: float, t_hi: float) -> bool:
+        return width <= 0.01 * max(t_hi, dt_ns * 1e-3)
+
+    t_lo, t_hi, v_lo, width = (k_hit - 1) * dt_ns, k_hit * dt_ns, v, dt_ns
+    depth = 0
+    while not resolved(dt_ns / 2**depth, t_lo):
+        depth += 1
+    halves = [_propagator(L.matrix, dt_ns / 2**depth)] if depth else []
+    while len(halves) < depth:
+        halves.insert(0, halves[0] @ halves[0])
+    for prop in halves:  # halves[i] advances by dt / 2^(i + 1)
+        if resolved(width, t_hi):
+            break
         width /= 2.0
-        if level not in half_props:
-            half_props[level] = _propagator(L.matrix, width)
-        v_mid = half_props[level] @ v_lo
+        v_mid = prop @ v_lo
         t_mid = t_lo + width
         if dist(v_mid) <= epsilon:
             t_hi = t_mid

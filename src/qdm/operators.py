@@ -168,4 +168,9 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 
 
 def trace_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> float:
-    return 0.5 * float(np.linalg.svd(m1 - m2, compute_uv=False).sum())
+    """Half the trace norm of the difference of two Hermitian matrices.
+
+    The difference is Hermitian, so its singular values are the moduli of
+    its eigenvalues; `eigvalsh` reads only its lower triangle.
+    """
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(m1 - m2)).sum())

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -7,6 +9,7 @@ from qdm.dissipators import assemble_liouvillian, spontaneous_collapse_ops
 from qdm.hamiltonians import build_effective_hamiltonian
 from qdm.operators import DensityMatrix, unvectorize, vectorize
 from qdm.params import HBAR_UEV_NS, DriveParams
+from qdm.scenarios import scenario_presets
 
 
 @pytest.fixture
@@ -52,6 +55,12 @@ def random_density(dim, seed):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / rho.trace()
+
+
+def full16_config():
+    """full16 at the fig4a coupling, driven at its dressed resonance (400 ueV)."""
+    fig4a = scenario_presets()["fig4a"]
+    return replace(fig4a, name="full16", model="full16", drive=replace(fig4a.drive, detuning=400.0))
 
 
 def dop853_reference(sup, rho0, t_ns):

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as la
 
-from conftest import random_density
+from conftest import full16_config, random_density
+from qdm import scenarios
 from qdm.basis import effective6, effective8, full9, state_vector
 from qdm.dissipators import (
     CollapseSet,
@@ -15,7 +17,7 @@ from qdm.dissipators import (
 )
 from qdm.errors import BasisMismatchError
 from qdm.hamiltonians import build_effective_hamiltonian
-from qdm.operators import OperatorMatrix, vectorize
+from qdm.operators import OperatorMatrix, lindblad_term, vectorize
 from qdm.params import DotGeometry, DriveParams, K_B_UEV_PER_K, MaterialParams
 
 
@@ -119,6 +121,41 @@ def test_liouvillian_zero_inputs(basis6):
     h = OperatorMatrix(basis6, np.zeros((6, 6)))
     sup = assemble_liouvillian(h, CollapseSet((), ()))
     assert np.abs(sup.matrix).max() == 0.0
+
+
+def test_empty_collapse_set(drive, basis6):
+    empty = CollapseSet((), ())
+    assert np.array_equal(empty.total_decay(), 0.0)
+    assert empty.stacked(6).shape == (0, 6, 6)
+    h = build_effective_hamiltonian(drive)
+    sup = assemble_liouvillian(h, empty)
+    ident = np.eye(6)
+    coherent = -1j * (np.kron(ident, h.matrix) - np.kron(h.matrix.T, ident))
+    assert np.abs(sup.matrix - coherent).max() < 1e-14
+
+
+@pytest.mark.parametrize("case", ["fig4a_2K", "full16"])
+def test_stacked_assembly_matches_per_operator_sum(case, monkeypatch):
+    config, n_ops = {
+        "fig4a_2K": (replace(scenarios.scenario_presets()["fig4a"], temperature=2.0), 56),
+        "full16": (full16_config(), 304),
+    }[case]
+    parts = []
+
+    def capture(h, collapse):
+        parts.append((h, collapse))
+        return assemble_liouvillian(h, collapse)
+
+    monkeypatch.setattr(scenarios, "assemble_liouvillian", capture)
+    sup = scenarios.build_liouvillian(config)
+    (h, collapse), = parts
+    assert len(collapse) == n_ops
+    ident = np.eye(h.dim)
+    oracle = -1j * (np.kron(ident, h.matrix) - np.kron(h.matrix.T, ident))
+    for op in collapse.ops:
+        oracle = oracle + lindblad_term(op).matrix
+    scale = np.abs(oracle).max()
+    assert np.abs(sup.matrix - oracle).max() <= 1e-12 * scale
 
 
 def test_liouvillian_matches_direct_master_equation(liouv6, drive, basis6):

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from conftest import dop853_reference, random_density
+from conftest import dop853_reference, full16_config, random_density
 from qdm import dynamics
-from qdm.basis import state_vector
+from qdm.basis import BasisKind, state_vector
 from qdm.dynamics import (
     adiabatic_validity,
     characteristic_time,
@@ -25,8 +25,8 @@ from qdm.errors import (
     DomainError,
     PositivityError,
 )
-from qdm.hamiltonians import build_effective_hamiltonian
-from qdm.operators import DensityMatrix, Superoperator, trace_distance, vectorize
+from qdm.hamiltonians import build_effective_hamiltonian, build_full_hamiltonian
+from qdm.operators import DensityMatrix, Superoperator, trace_distance, unvectorize, vectorize
 from qdm.params import HBAR_UEV_NS, DriveParams
 from qdm.scenarios import build_liouvillian, scenario_presets
 
@@ -165,6 +165,32 @@ def test_steady_state_degenerate_without_drive(basis6):
         steady_state(assemble_liouvillian(h, cs))
 
 
+@pytest.mark.parametrize("name", ["fig3a_full9", "fig4a", "full16"])
+def test_steady_state_matches_null_space(name):
+    config = full16_config() if name == "full16" else scenario_presets()[name]
+    sup = build_liouvillian(config)
+    null = la.null_space(sup.matrix)
+    assert null.shape[1] == 1
+    rho = unvectorize(null[:, 0], sup.dim)
+    rho = rho / rho.trace()
+    rho = (rho + rho.conj().T) / 2
+    steady = steady_state(sup).matrix
+    assert 0.5 * la.svdvals(steady - rho).sum() < 1e-10
+    # the direct solve is the more accurate of the two
+    residual = lambda m: np.linalg.norm(sup.matrix @ vectorize(m))
+    assert residual(steady) <= residual(rho)
+
+
+def test_steady_state_degenerate_full16_without_tunneling():
+    # built directly: ScenarioConfig rejects full16 at zero t_e for this reason
+    config = full16_config()
+    drive = config.drive
+    h = build_full_hamiltonian(drive, replace(config.coupling, t_e=0.0), BasisKind.FULL16)
+    cs = spontaneous_collapse_ops(drive.gamma0, drive.gamma1, h.basis)
+    with pytest.raises(DegenerateSteadyStateError, match="4 null singular values"):
+        steady_state(assemble_liouvillian(h, cs))
+
+
 def test_steady_state_agrees_with_long_time_limit(liouv6, paper_mixture):
     traj = evolve(paper_mixture, liouv6, np.array([0.0, 200.0]))
     assert trace_distance(traj.final_state, steady_state(liouv6)) < 1e-6
@@ -173,6 +199,36 @@ def test_steady_state_agrees_with_long_time_limit(liouv6, paper_mixture):
 def test_characteristic_time_zero_at_steady_state(liouv6):
     ss = steady_state(liouv6)
     assert characteristic_time(liouv6, ss, epsilon=0.01) == 0.0
+
+
+def test_characteristic_time_computes_two_expm(liouv6, paper_mixture, monkeypatch):
+    calls = []
+    propagator = dynamics._propagator
+
+    def counting_propagator(gen, t_ns):
+        calls.append(t_ns)
+        return propagator(gen, t_ns)
+
+    monkeypatch.setattr(dynamics, "_propagator", counting_propagator)
+    steady = steady_state(liouv6)
+
+    def dist(t_ns):
+        rho = propagator_expm(liouv6, t_ns).apply(paper_mixture.matrix)
+        return trace_distance(DensityMatrix(liouv6.basis, rho), steady)
+
+    depths = []
+    for t_max in (None, 200.0):
+        calls.clear()
+        t0 = characteristic_time(liouv6, paper_mixture, epsilon=0.1, t_max_ns=t_max)
+        # the march step, then the finest bisection width dt / 2^depth
+        assert len(calls) == 2
+        depth = np.log2(calls[0] / calls[1])
+        assert depth == round(depth) >= 1
+        depths.append(depth)
+        # t0 is the crossing to 1%
+        assert dist(0.99 * t0) > 0.1 >= dist(t0)
+    # the 200 ns march crosses early, so its bisection squares its way up
+    assert depths == [1, 4]
 
 
 def test_characteristic_time_paper_scale(liouv6, paper_mixture):

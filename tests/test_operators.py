@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from conftest import random_density
 from qdm.basis import effective6, single_dot3
@@ -12,6 +13,7 @@ from qdm.operators import (
     lindblad_term,
     tensor,
     trace_distance,
+    trace_distance_matrices,
     unvectorize,
     vectorize,
 )
@@ -108,3 +110,16 @@ def test_trace_distance_extremes(basis6):
     r2 = DensityMatrix(basis6, w)
     assert abs(trace_distance(r1, r2) - 1.0) < 1e-12
     assert trace_distance(r1, r1) < 1e-14
+
+
+def test_trace_distance_matches_singular_values():
+    rng = np.random.default_rng(11)
+    for dim in (4, 6, 16):
+        for _ in range(5):
+            g1, g2 = (
+                rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                for _ in range(2)
+            )
+            m1, m2 = g1 + g1.conj().T, g2 + g2.conj().T
+            want = 0.5 * la.svdvals(m1 - m2).sum()
+            assert abs(trace_distance_matrices(m1, m2) - want) < 1e-12 * want
