@@ -40,7 +40,6 @@ from .hamiltonians import (
     build_effective_hamiltonian,
     build_effective_tunneling_hamiltonian,
     build_full_hamiltonian,
-    build_tunneling_hamiltonian,
     dressed_basis,
 )
 from .operators import DensityMatrix, OperatorMatrix, Superoperator, trace_distance
@@ -93,7 +92,6 @@ __all__ = [
     "build_effective_hamiltonian",
     "build_effective_tunneling_hamiltonian",
     "build_full_hamiltonian",
-    "build_tunneling_hamiltonian",
     "characteristic_time",
     "concurrence",
     "dressed_basis",

@@ -24,8 +24,6 @@ from .errors import BasisMismatchError
 
 
 class BasisKind(Enum):
-    SINGLE_DOT3 = "single_dot3"
-    SINGLE_DOT4 = "single_dot4"
     EFFECTIVE6 = "effective6"
     EFFECTIVE8 = "effective8"
     FULL9 = "full9"
@@ -58,14 +56,6 @@ class ModelBasis:
         return self.labels.index(label)
 
 
-def single_dot3() -> ModelBasis:
-    return ModelBasis(BasisKind.SINGLE_DOT3, DOT3_LEVELS)
-
-
-def single_dot4() -> ModelBasis:
-    return ModelBasis(BasisKind.SINGLE_DOT4, DOT4_LEVELS)
-
-
 def effective6() -> ModelBasis:
     return ModelBasis(BasisKind.EFFECTIVE6, _EFFECTIVE6_LABELS)
 
@@ -86,8 +76,6 @@ def full16() -> ModelBasis:
 
 def make_basis(kind: BasisKind) -> ModelBasis:
     return {
-        BasisKind.SINGLE_DOT3: single_dot3,
-        BasisKind.SINGLE_DOT4: single_dot4,
         BasisKind.EFFECTIVE6: effective6,
         BasisKind.EFFECTIVE8: effective8,
         BasisKind.FULL9: full9,
@@ -127,18 +115,3 @@ def state_vector(basis: ModelBasis, label: str) -> np.ndarray:
 
     raise BasisMismatchError(f"state {label!r} is not resolvable on basis {basis.kind.value}")
 
-
-#: Label order of the symmetrized 9-state basis used by the full -> sym/antisym
-#: change of basis.
-FULL9_SYMMETRIZED_LABELS = ("00", "S01", "A01", "11", "S0s", "A0s", "S1s", "A1s", "ss")
-
-
-def full9_symmetrized_basis() -> ModelBasis:
-    return ModelBasis(BasisKind.FULL9, FULL9_SYMMETRIZED_LABELS)
-
-
-def full9_symmetrizing_unitary() -> np.ndarray:
-    """Columns are the symmetrized states expressed in the product basis."""
-    b = full9()
-    cols = [state_vector(b, lab) for lab in FULL9_SYMMETRIZED_LABELS]
-    return np.stack(cols, axis=1)

@@ -55,22 +55,18 @@ class _CliError(Exception):
         self.code = code
 
 
-def _fail(code: int, message: str) -> "_CliError":
-    return _CliError(code, message)
-
-
 def load_config_file(path: Path) -> ScenarioConfig:
     """Parse a JSON scenario file whose keys mirror ScenarioConfig fields."""
     try:
         raw = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise _fail(EXIT_SCHEMA, f"cannot parse config {path}: {exc}") from exc
+        raise _CliError(EXIT_SCHEMA, f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise _fail(EXIT_SCHEMA, "config root must be a JSON object")
+        raise _CliError(EXIT_SCHEMA, "config root must be a JSON object")
     known = {f.name for f in dataclasses.fields(ScenarioConfig)}
     unknown = set(raw) - known
     if unknown:
-        raise _fail(EXIT_SCHEMA, f"unknown config keys: {sorted(unknown)}")
+        raise _CliError(EXIT_SCHEMA, f"unknown config keys: {sorted(unknown)}")
     kwargs: dict = {}
     for key, value in raw.items():
         if key in _NESTED_FIELDS:
@@ -78,11 +74,11 @@ def load_config_file(path: Path) -> ScenarioConfig:
             sub_known = {f.name for f in dataclasses.fields(cls)}
             sub_unknown = set(value) - sub_known
             if sub_unknown:
-                raise _fail(EXIT_SCHEMA, f"unknown keys in {key}: {sorted(sub_unknown)}")
+                raise _CliError(EXIT_SCHEMA, f"unknown keys in {key}: {sorted(sub_unknown)}")
             try:
                 kwargs[key] = cls(**value)
             except (TypeError, ValueError) as exc:
-                raise _fail(EXIT_SCHEMA, f"bad {key} block: {exc}") from exc
+                raise _CliError(EXIT_SCHEMA, f"bad {key} block: {exc}") from exc
         elif key == "t_grid":
             kwargs[key] = tuple(value)
         else:
@@ -93,7 +89,7 @@ def load_config_file(path: Path) -> ScenarioConfig:
     try:
         return ScenarioConfig(**kwargs)
     except (ConfigError, TypeError, ValueError) as exc:
-        raise _fail(EXIT_SCHEMA, f"invalid config: {exc}") from exc
+        raise _CliError(EXIT_SCHEMA, f"invalid config: {exc}") from exc
 
 
 def _resolve_scenario(spec: str) -> ScenarioConfig:
@@ -107,7 +103,7 @@ def _resolve_scenario(spec: str) -> ScenarioConfig:
     path = Path(spec)
     if path.suffix and path.exists():
         return load_config_file(path)
-    raise _fail(
+    raise _CliError(
         EXIT_UNKNOWN_SCENARIO,
         f"unknown scenario {spec!r}; presets: {sorted(presets)}",
     )
@@ -121,7 +117,7 @@ def _prepare_out(out: str) -> Path:
         probe.write_text("")
         probe.unlink()
     except OSError as exc:
-        raise _fail(EXIT_UNWRITABLE, f"output directory {out!r} not writable: {exc}") from exc
+        raise _CliError(EXIT_UNWRITABLE, f"output directory {out!r} not writable: {exc}") from exc
     return path
 
 
@@ -143,7 +139,7 @@ def _write_manifest(out: Path, config: ScenarioConfig, summary: dict, files: lis
     for name in files:
         target = out / name
         if not target.exists() or target.stat().st_size == 0:
-            raise _fail(EXIT_UNWRITABLE, f"declared output {name} missing or empty")
+            raise _CliError(EXIT_UNWRITABLE, f"declared output {name} missing or empty")
     manifest = {
         "artifact_version": __version__,
         "config": dataclasses.asdict(config),
@@ -187,7 +183,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     presets = scenario_presets()
     if args.preset not in ("fig3b", "fig4b"):
-        raise _fail(EXIT_UNKNOWN_SCENARIO, f"unknown sweep preset {args.preset!r}")
+        raise _CliError(EXIT_UNKNOWN_SCENARIO, f"unknown sweep preset {args.preset!r}")
     config = presets[args.preset]
     out = _prepare_out(args.out)
     started = time.time()
@@ -239,51 +235,6 @@ def _cmd_calc(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(_args: argparse.Namespace) -> int:
-    """Quick invariant suite over the core pipeline."""
-    from .basis import effective6, state_vector
-    from .dissipators import assemble_liouvillian, spontaneous_collapse_ops
-    from .dynamics import steady_state
-    from .entanglement import concurrence
-    from .hamiltonians import build_effective_hamiltonian
-    from .operators import DensityMatrix, vectorize
-
-    failures: list[str] = []
-    basis = effective6()
-    drive = DriveParams()
-    liouv = assemble_liouvillian(
-        build_effective_hamiltonian(drive),
-        spontaneous_collapse_ops(drive.gamma0, drive.gamma1, basis),
-    )
-    if liouv.trace_preservation_defect() > 1e-10:
-        failures.append("Liouvillian is not trace preserving")
-    a01 = state_vector(basis, "A01")
-    dark = np.abs(liouv.matrix @ vectorize(np.outer(a01, a01.conj()))).max()
-    if dark > 1e-12:
-        failures.append(f"dark state not stationary: residual {dark:.2e}")
-    try:
-        rho_ss = steady_state(liouv)
-    except QdmError as exc:
-        failures.append(f"steady state failed: {exc}")
-    else:
-        if abs(rho_ss.matrix[basis.index("A01"), basis.index("A01")].real - 1.0) > 1e-6:
-            failures.append("steady state is not the singlet")
-    from .basis import BasisKind, ModelBasis
-
-    bell = np.zeros((4, 4), dtype=complex)
-    bell[1:3, 1:3] = 0.5 * np.array([[1, -1], [-1, 1]])
-    two_qubit = ModelBasis(BasisKind.EFFECTIVE6, ("00", "01", "10", "11"))
-    c = concurrence(DensityMatrix(two_qubit, bell))
-    if abs(c - 1.0) > 1e-10:
-        failures.append(f"Bell-state concurrence {c} != 1")
-
-    for line in failures:
-        print(f"FAIL: {line}")
-    if not failures:
-        print("all invariants hold")
-    return EXIT_OK if not failures else EXIT_FAILURE
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdm",
@@ -319,9 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     sd.add_argument("--omega", type=float, required=True, help="frequency, ueV")
     sd.add_argument("--parity", choices=["plus", "minus"], default="plus")
     calc_p.set_defaults(func=_cmd_calc)
-
-    val_p = sub.add_parser("validate", help="run the built-in invariant checks")
-    val_p.set_defaults(func=_cmd_validate)
     return parser
 
 

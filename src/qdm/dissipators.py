@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisKind, ModelBasis, state_vector
+from .basis import BasisKind, ModelBasis
 from .errors import BasisMismatchError
-from .hamiltonians import dot_operator_pair
+from .hamiltonians import dot_operator_pair, ketbra
 from .operators import OperatorMatrix, Superoperator
 from .params import DotGeometry, MaterialParams
 from .physics import bose_occupation, spectral_density
@@ -66,13 +66,14 @@ class CollapseSet:
 
 
 def _effective_spontaneous(gamma0: float, gamma1: float, basis: ModelBasis) -> CollapseSet:
-    def ketbra(a: str, b: str) -> np.ndarray:
-        return np.outer(state_vector(basis, a), state_vector(basis, b).conj())
-
-    l1 = math.sqrt(gamma0) * (ketbra("00", "S0s") + ketbra("S01", "S1s") / math.sqrt(2))
-    l2 = -math.sqrt(gamma0 / 2) * ketbra("A01", "S1s")
-    l3 = math.sqrt(gamma1) * (ketbra("11", "S1s") + ketbra("S01", "S0s") / math.sqrt(2))
-    l4 = math.sqrt(gamma1 / 2) * ketbra("A01", "S0s")
+    l1 = math.sqrt(gamma0) * (
+        ketbra(basis, "00", "S0s") + ketbra(basis, "S01", "S1s") / math.sqrt(2)
+    )
+    l2 = -math.sqrt(gamma0 / 2) * ketbra(basis, "A01", "S1s")
+    l3 = math.sqrt(gamma1) * (
+        ketbra(basis, "11", "S1s") + ketbra(basis, "S01", "S0s") / math.sqrt(2)
+    )
+    l4 = math.sqrt(gamma1 / 2) * ketbra(basis, "A01", "S0s")
     return CollapseSet(
         tuple(OperatorMatrix(basis, m) for m in (l1, l2, l3, l4)),
         ("L1", "L2", "L3", "L4"),

@@ -46,7 +46,8 @@ def concurrence(rho2: DensityMatrix) -> float:
     """Wootters concurrence of a two-qubit state.
 
     ``C = max(0, l1 - l2 - l3 - l4)`` with ``l_i`` the decreasing square roots
-    of the eigenvalues of ``rho (sy x sy) rho* (sy x sy)``.
+    of the eigenvalues of ``rho (sy x sy) rho* (sy x sy)``, clamped to 1
+    against rounding in ``l1``.
     """
     if rho2.dim != 4:
         raise PositivityError("concurrence expects a 4-dimensional two-qubit state")
@@ -56,7 +57,7 @@ def concurrence(rho2: DensityMatrix) -> float:
     if ev.min() < -POSITIVITY_TOL:
         raise PositivityError(f"concurrence eigenvalues negative: min {ev.min():.2e}")
     lam = np.sort(np.sqrt(np.clip(ev, 0.0, None)))[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
 
 
 def qubit_concurrence(rho: DensityMatrix) -> tuple[float, float]:

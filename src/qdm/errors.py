@@ -9,10 +9,6 @@ class BasisMismatchError(QdmError):
     """Operands are defined on incompatible bases."""
 
 
-class UnitarityError(QdmError):
-    """A matrix expected to be unitary is not, beyond tolerance."""
-
-
 class PositivityError(QdmError):
     """A density matrix is not Hermitian, unit trace and positive within tolerance."""
 

@@ -14,42 +14,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
+    DOT3_LEVELS,
+    DOT4_LEVELS,
     BasisKind,
     ModelBasis,
     effective6,
     effective8,
-    full16,
     make_basis,
-    single_dot3,
-    single_dot4,
     state_vector,
 )
 from .errors import BasisMismatchError, DegenerateBasisError
-from .operators import OperatorMatrix, tensor
+from .operators import OperatorMatrix
 from .params import CouplingParams, DriveParams
 
 
-def _ketbra(basis: ModelBasis, a: str, b: str) -> np.ndarray:
+def ketbra(basis: ModelBasis, a: str, b: str) -> np.ndarray:
+    """``|a><b|`` for two named states of `basis`."""
     return np.outer(state_vector(basis, a), state_vector(basis, b).conj())
-
-
-def _single_dot_op(levels: ModelBasis, a: str, b: str) -> OperatorMatrix:
-    m = np.zeros((levels.dim, levels.dim), dtype=complex)
-    m[levels.index(a), levels.index(b)] = 1.0
-    return OperatorMatrix(levels, m)
 
 
 def dot_operator_pair(kind: BasisKind, a: str, b: str) -> tuple[np.ndarray, np.ndarray]:
     """``|a><b|`` acting on dot 1 and on dot 2 of the product basis."""
     if kind == BasisKind.FULL9:
-        dot = single_dot3()
+        levels = DOT3_LEVELS
     elif kind == BasisKind.FULL16:
-        dot = single_dot4()
+        levels = DOT4_LEVELS
     else:
         raise BasisMismatchError("dot_operator_pair expects a product-basis kind")
-    op = _single_dot_op(dot, a, b)
-    ident = OperatorMatrix(dot, np.eye(dot.dim))
-    return tensor(op, ident).matrix, tensor(ident, op).matrix
+    n = len(levels)
+    op = np.zeros((n, n), dtype=complex)
+    op[levels.index(a), levels.index(b)] = 1.0
+    ident = np.eye(n)
+    return np.kron(op, ident), np.kron(ident, op)
 
 
 def build_full_hamiltonian(
@@ -78,9 +74,9 @@ def build_full_hamiltonian(
     s1, s2 = dot_operator_pair(kind, "s", "s")
     h += drive.detuning * (s1 + s2)
 
-    fo = coupling.v_f * (_ketbra(basis, "1s", "s1") + _ketbra(basis, "0s", "s0"))
+    fo = coupling.v_f * (ketbra(basis, "1s", "s1") + ketbra(basis, "0s", "s0"))
     h += fo + fo.conj().T
-    h += coupling.v_xx * _ketbra(basis, "ss", "ss")
+    h += coupling.v_xx * ketbra(basis, "ss", "ss")
 
     if kind == BasisKind.FULL16:
         # t level sits at detuning + (omega_t - omega) = detuning + v_f - delta
@@ -101,23 +97,13 @@ def build_effective_hamiltonian(drive: DriveParams) -> OperatorMatrix:
     """
     basis = effective6()
     h = (
-        math.sqrt(2) * drive.omega * _ketbra(basis, "11", "S1s")
-        + drive.omega * _ketbra(basis, "S01", "S0s")
-        + drive.omega_m * _ketbra(basis, "S0s", "S1s")
-        + math.sqrt(2) * drive.omega_m * _ketbra(basis, "00", "S01")
-        + math.sqrt(2) * drive.omega_m * _ketbra(basis, "S01", "11")
+        math.sqrt(2) * drive.omega * ketbra(basis, "11", "S1s")
+        + drive.omega * ketbra(basis, "S01", "S0s")
+        + drive.omega_m * ketbra(basis, "S0s", "S1s")
+        + math.sqrt(2) * drive.omega_m * ketbra(basis, "00", "S01")
+        + math.sqrt(2) * drive.omega_m * ketbra(basis, "S01", "11")
     )
     return OperatorMatrix(basis, h + h.conj().T)
-
-
-def build_tunneling_hamiltonian(coupling: CouplingParams) -> OperatorMatrix:
-    """Lab-frame inter-dot trion energy and s <-> t hopping on the 16-state basis."""
-    basis = full16()
-    t1, t2 = dot_operator_pair(BasisKind.FULL16, "t", "t")
-    hop1, hop2 = dot_operator_pair(BasisKind.FULL16, "s", "t")
-    hop = coupling.t_e * (hop1 + hop2)
-    h = coupling.omega_t * (t1 + t2) + hop + hop.conj().T
-    return OperatorMatrix(basis, h)
 
 
 @dataclass(frozen=True)
@@ -203,9 +189,9 @@ def build_effective_tunneling_hamiltonian(
         )
 
     h = (
-        math.sqrt(2) * drive.omega_m * _ketbra(basis, "00", "S01")
-        + math.sqrt(2) * drive.omega_m * _ketbra(basis, "S01", "11")
-        + drive.omega_m * _ketbra(basis, "S0s", "S1s")
+        math.sqrt(2) * drive.omega_m * ketbra(basis, "00", "S01")
+        + math.sqrt(2) * drive.omega_m * ketbra(basis, "S01", "11")
+        + drive.omega_m * ketbra(basis, "S0s", "S1s")
         + math.sqrt(2) * drive.omega * amp
         * np.outer(state_vector(basis, "11"), pump1.conj())
         + drive.omega * amp * np.outer(state_vector(basis, "S01"), pump0.conj())

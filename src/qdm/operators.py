@@ -11,14 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisKind, ModelBasis, full16, full9
-from .errors import BasisMismatchError, PositivityError, UnitarityError
+from .basis import ModelBasis
+from .errors import BasisMismatchError, PositivityError
 
 HERMITICITY_TOL = 1e-12
 DENSITY_HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-8
 POSITIVITY_TOL = 1e-8
-UNITARITY_TOL = 1e-10
 
 
 def _as_square(matrix: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -43,9 +42,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.basis, self.matrix.conj().T)
 
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         return float(np.abs(self.matrix - self.matrix.conj().T).max()) < tol
@@ -78,9 +74,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    def populations(self) -> dict[str, float]:
-        return {lab: float(self.matrix[i, i].real) for i, lab in enumerate(self.basis.labels)}
 
 
 @dataclass(frozen=True)
@@ -116,35 +109,6 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
 
 def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
-
-
-def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Kronecker product of two single-dot operators on the product basis."""
-    if a.basis.kind != b.basis.kind:
-        raise BasisMismatchError(
-            f"tensor factors on different basis kinds: {a.basis.kind} vs {b.basis.kind}"
-        )
-    if a.basis.kind == BasisKind.SINGLE_DOT3:
-        target = full9()
-    elif a.basis.kind == BasisKind.SINGLE_DOT4:
-        target = full16()
-    else:
-        raise BasisMismatchError("tensor expects single-dot operands")
-    return OperatorMatrix(target, np.kron(a.matrix, b.matrix))
-
-
-def change_basis(op: OperatorMatrix, U: np.ndarray, target: ModelBasis) -> OperatorMatrix:
-    """Return ``U^dag op U`` relabeled to `target`.
-
-    Columns of `U` are the target basis states expressed in the basis of `op`.
-    """
-    U = _as_square(U, op.dim, "change-of-basis matrix")
-    dev = float(np.abs(U.conj().T @ U - np.eye(op.dim)).max())
-    if dev > UNITARITY_TOL:
-        raise UnitarityError(f"change-of-basis matrix not unitary: max |U^dag U - I| = {dev:.2e}")
-    if target.dim != op.dim:
-        raise BasisMismatchError("target basis dimension mismatch")
-    return OperatorMatrix(target, U.conj().T @ op.matrix @ U)
 
 
 def lindblad_term(L: OperatorMatrix) -> Superoperator:

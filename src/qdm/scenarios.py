@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import __version__
 from .basis import BasisKind, ModelBasis, state_vector
 from .dissipators import (
     assemble_liouvillian,
@@ -39,9 +40,6 @@ from .params import (
     MaterialParams,
 )
 
-ARTIFACT_VERSION = "0.1.0"
-
-_MODELS = ("effective6", "effective8", "full9", "full16")
 _INITIAL_STATES = ("paper_mixture", "ground_00", "random")
 
 _MODEL_KIND = {
@@ -71,8 +69,8 @@ class ScenarioConfig:
     epsilon_T0: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.model not in _MODELS:
-            raise ConfigError(f"unknown model {self.model!r}; choose from {_MODELS}")
+        if self.model not in _MODEL_KIND:
+            raise ConfigError(f"unknown model {self.model!r}; choose from {tuple(_MODEL_KIND)}")
         if self.initial_state not in _INITIAL_STATES:
             raise ConfigError(
                 f"unknown initial_state {self.initial_state!r}; choose from {_INITIAL_STATES}"
@@ -284,7 +282,7 @@ def sweep_T0(
     return SweepResult(
         columns=("omega_ueV", "omega_m_ueV", "gamma_ueV", "concurrence_ss", "t0_ns", "leak", "error"),
         rows=rows,
-        provenance={"config_hash": config.config_hash(), "artifact_version": ARTIFACT_VERSION},
+        provenance={"config_hash": config.config_hash(), "artifact_version": __version__},
         summary={"argmin_omega_m": argmin, "min_t0_ns": best},
     )
 
@@ -329,6 +327,6 @@ def sweep_temperature(
     return SweepResult(
         columns=("T_K", "t_e_ueV", "concurrence_ss", "t0_ns", "leak", "error"),
         rows=_sweep_rows(points, configs),
-        provenance={"config_hash": config.config_hash(), "artifact_version": ARTIFACT_VERSION},
+        provenance={"config_hash": config.config_hash(), "artifact_version": __version__},
         summary={},
     )

@@ -7,7 +7,6 @@ from qdm.basis import (
     effective6,
     effective8,
     full9,
-    full9_symmetrizing_unitary,
     full16,
     make_basis,
     state_vector,
@@ -58,8 +57,3 @@ def test_unresolvable_label_raises():
         state_vector(effective6(), "ss")
     with pytest.raises(BasisMismatchError):
         state_vector(full9(), "nope")
-
-
-def test_symmetrizing_unitary_is_unitary():
-    u = full9_symmetrizing_unitary()
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(9), atol=1e-14)

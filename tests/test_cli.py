@@ -101,11 +101,6 @@ def test_calc_spectral_density(capsys):
     assert "J_plus" in capsys.readouterr().out
 
 
-def test_validate_passes(capsys):
-    assert main(["validate"]) == EXIT_OK
-    assert "all invariants hold" in capsys.readouterr().out
-
-
 def test_sweep_fig3b(tmp_path):
     out = tmp_path / "s"
     assert main(["sweep", "--preset", "fig3b", "--out", str(out)]) == EXIT_OK

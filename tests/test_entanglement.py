@@ -10,6 +10,7 @@ from qdm.entanglement import (
 )
 from qdm.errors import EmptySubspaceError
 from qdm.operators import DensityMatrix
+from qdm.scenarios import scenario_presets, sweep_temperature
 
 
 def werner(p):
@@ -66,3 +67,12 @@ def test_empty_qubit_subspace_raises():
     m[b.index("S0s"), b.index("S0s")] = 1.0
     with pytest.raises(EmptySubspaceError):
         project_to_qubits(DensityMatrix(b, m))
+
+
+def test_concurrence_at_most_one_on_fig4b_dark_point():
+    # fig4b's (T = 0, t_e = 0) steady state is the singlet up to rounding,
+    # which put the unclamped concurrence at 1 + 2.2e-16
+    sweep = sweep_temperature(scenario_presets()["fig4b"], T_grid=[0.0], te_grid=[0.0])
+    ((_, _, c_ss, _, _, error),) = sweep.rows
+    assert not error
+    assert 1.0 - 1e-12 < c_ss <= 1.0

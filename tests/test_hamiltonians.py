@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qdm.basis import BasisKind, effective6, effective8, full9, state_vector
+from qdm.basis import DOT3_LEVELS, DOT4_LEVELS, BasisKind, full9, full16
 from qdm.errors import BasisMismatchError, DegenerateBasisError
 from qdm.hamiltonians import (
     build_effective_hamiltonian,
     build_effective_tunneling_hamiltonian,
     build_full_hamiltonian,
-    build_tunneling_hamiltonian,
+    dot_operator_pair,
     dressed_basis,
 )
 from qdm.params import CouplingParams, DriveParams
@@ -62,13 +62,17 @@ def test_full16_inter_dot_trion_block(drive):
     assert abs(m[b.index("s0"), b.index("t0")] - coupling.t_e) < 1e-12
 
 
-def test_lab_frame_tunneling_hamiltonian():
-    coupling = CouplingParams(t_e=500.0, omega_t=1000.0)
-    h = build_tunneling_hamiltonian(coupling)
-    assert h.is_hermitian()
-    b = h.basis
-    assert abs(h.matrix[b.index("t1"), b.index("t1")] - 1000.0) < 1e-12
-    assert abs(h.matrix[b.index("1s"), b.index("1t")] - 500.0) < 1e-12
+def test_dot_operator_pair():
+    for basis, levels in ((full9(), DOT3_LEVELS), (full16(), DOT4_LEVELS)):
+        on1, on2 = dot_operator_pair(basis.kind, "0", "s")
+        # |0><s| on one dot times the identity on the other: exactly one
+        # entry per level of the spectator dot
+        assert np.count_nonzero(on1) == np.count_nonzero(on2) == len(levels)
+        for x in levels:
+            assert on1[basis.index("0" + x), basis.index("s" + x)] == 1.0
+            assert on2[basis.index(x + "0"), basis.index(x + "s")] == 1.0
+    with pytest.raises(BasisMismatchError):
+        dot_operator_pair(BasisKind.EFFECTIVE6, "0", "s")
 
 
 def test_dressed_basis_diagonalizes_two_level_block():

@@ -3,15 +3,13 @@ import pytest
 import scipy.linalg as la
 
 from conftest import random_density
-from qdm.basis import effective6, single_dot3
-from qdm.errors import BasisMismatchError, PositivityError, UnitarityError
+from qdm.basis import effective6
+from qdm.errors import BasisMismatchError, PositivityError
 from qdm.operators import (
     DensityMatrix,
     OperatorMatrix,
     Superoperator,
-    change_basis,
     lindblad_term,
-    tensor,
     trace_distance,
     trace_distance_matrices,
     unvectorize,
@@ -48,13 +46,6 @@ def test_density_matrix_validation():
         DensityMatrix(b, nonherm)
 
 
-def test_density_matrix_populations(basis6):
-    rho = DensityMatrix(basis6, random_density(6, 7))
-    pops = rho.populations()
-    assert set(pops) == set(basis6.labels)
-    assert abs(sum(pops.values()) - 1) < 1e-10
-
-
 def test_operator_shape_mismatch():
     with pytest.raises(BasisMismatchError):
         OperatorMatrix(effective6(), np.eye(5))
@@ -80,25 +71,6 @@ def test_lindblad_term_against_direct_arithmetic(basis6):
             lm.conj().T @ lm @ rho + rho @ lm.conj().T @ lm
         )
         np.testing.assert_allclose(sup.apply(rho), direct, atol=1e-12)
-
-
-def test_tensor_product_embedding():
-    dot = single_dot3()
-    op = np.zeros((3, 3))
-    op[0, 2] = 1.0  # |0><s|
-    ident = OperatorMatrix(dot, np.eye(3))
-    left = tensor(OperatorMatrix(dot, op), ident)
-    assert left.dim == 9
-    b = left.basis
-    assert abs(left.matrix[b.index("01"), b.index("s1")] - 1.0) < 1e-14
-
-
-def test_change_basis_requires_unitary(basis6):
-    op = OperatorMatrix(basis6, np.diag(np.arange(6.0)))
-    with pytest.raises(UnitarityError):
-        change_basis(op, np.eye(6) * 2, basis6)
-    rotated = change_basis(op, np.eye(6), basis6)
-    np.testing.assert_allclose(rotated.matrix, op.matrix)
 
 
 def test_trace_distance_extremes(basis6):
