@@ -97,11 +97,6 @@ class Superoperator:
         d = self.basis.dim
         return (self.matrix @ rho.flatten(order="F")).reshape(d, d, order="F")
 
-    def trace_preservation_defect(self) -> float:
-        """Max entry of the adjoint applied to the identity (0 for a generator)."""
-        ident = np.eye(self.basis.dim, dtype=complex).flatten(order="F")
-        return float(np.abs(self.matrix.conj().T @ ident).max())
-
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).flatten(order="F")

@@ -57,6 +57,12 @@ def random_density(dim, seed):
     return rho / rho.trace()
 
 
+def trace_preservation_defect(sup):
+    """Max entry of the adjoint of `sup` applied to the identity (0 for a generator)."""
+    ident = np.eye(sup.dim, dtype=complex).flatten(order="F")
+    return float(np.abs(sup.matrix.conj().T @ ident).max())
+
+
 def full16_config():
     """full16 at the fig4a coupling, driven at its dressed resonance (400 ueV)."""
     fig4a = scenario_presets()["fig4a"]

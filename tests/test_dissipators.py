@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from conftest import full16_config, random_density
+from conftest import full16_config, random_density, trace_preservation_defect
 from qdm import scenarios
 from qdm.basis import effective6, effective8, full9, state_vector
 from qdm.dissipators import (
@@ -178,7 +178,7 @@ def test_liouvillian_spectrum_is_dissipative(liouv6):
 
 
 def test_liouvillian_trace_preserving_and_unique_null(liouv6):
-    assert liouv6.trace_preservation_defect() < 1e-10
+    assert trace_preservation_defect(liouv6) < 1e-10
     ev = la.eigvals(liouv6.matrix)
     assert int(np.sum(np.abs(ev) < 1e-9)) == 1
 

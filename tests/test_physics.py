@@ -1,20 +1,76 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qdm import physics
 from qdm.errors import DomainError
-from qdm.params import DotGeometry, MaterialParams, EPS_R_CALIBRATED
+from qdm.params import (
+    ELEMENTARY_CHARGE_SI,
+    EPS_R_CALIBRATED,
+    HBAR_SI,
+    DotGeometry,
+    MaterialParams,
+)
 from qdm.physics import (
     bose_occupation,
     form_factor,
     forster_coupling,
     forster_shape_F,
-    piezo_angular,
     spectral_density,
     wkb_tunneling_rate,
     zeeman_splittings,
 )
+
+
+def piezo_angular(theta, phi, m_p):
+    """Angular piezoelectric coupling factor, same units as `m_p`."""
+    under = 9.0 + 7.0 * np.cos(2 * theta) - 2.0 * np.cos(4 * phi) * np.sin(theta) ** 2
+    return 0.25 * np.sin(theta) * m_p * np.sqrt(np.clip(under, 0.0, None))
+
+
+def _gauss_legendre(n, upper):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1.0) * (upper / 2), w * (upper / 2)
+
+
+def solid_angle_spectral_density(omega_ueV, parity, geom, material):
+    """J_plus / J_minus in ueV from 2D Gauss-Legendre rules over (theta, phi).
+
+    Integrates the full angular dependence, piezo_angular(theta, phi)^2
+    included, at 48 x 32 and 96 x 64 nodes; checks that the two agree and
+    returns the finer.
+    """
+    joule = ELEMENTARY_CHARGE_SI  # per eV
+    w_ang = omega_ueV * 1e-6 * joule / HBAR_SI
+    q_si = w_ang / material.c_s
+    q_nm = q_si * 1e-9
+    de, dh = material.d_e * joule, material.d_h * joule
+    mp_si = material.m_p * joule / 1e-9
+    mu, cs = material.mass_density, material.c_s
+    phase = q_si * geom.d * 1e-9
+    sign = 1.0 if parity == "plus" else -1.0
+
+    def rule(n_theta, n_phi):
+        th, wth = _gauss_legendre(n_theta, np.pi)
+        ph, wph = _gauss_legendre(n_phi, 2 * np.pi)
+        TH, PH = np.meshgrid(th, ph, indexing="ij")
+        qp, qz = q_nm * np.sin(TH), q_nm * np.cos(TH)
+        ffe = form_factor(qp, qz, geom.l_par_e, geom.l_perp)
+        ffh = form_factor(qp, qz, geom.l_par_h, geom.l_perp)
+        g_d = w_ang**3 / (8 * np.pi**2 * mu * cs**5) * (de * ffe - dh * ffh) ** 2
+        p2 = piezo_angular(TH, PH, mp_si) ** 2
+        g_p = w_ang * p2 / (8 * np.pi**2 * mu * cs**3) * (ffe - ffh) ** 2
+        integrand = (1.0 + sign * math.sin(phase) / phase) * (g_d + g_p) * np.sin(TH)
+        return float(np.sum(np.outer(wth, wph) * integrand)) / joule * 1e6
+
+    coarse, fine = rule(48, 32), rule(96, 64)
+    assert abs(fine - coarse) <= 1e-6 * abs(fine) + 1e-15
+    return fine
 
 
 def test_zeeman_paper_quoted_sum():
@@ -86,6 +142,69 @@ def test_piezo_angular_vanishes_on_axis():
     np.testing.assert_array_equal(
         piezo_angular(th, ph, 1.4), [piezo_angular(t, p, 1.4) for t, p in zip(th, ph)]
     )
+
+
+def test_piezo_angular_phi_average_is_closed_form():
+    # the theta rule in spectral_density uses this phi integral in closed form
+    m_p = 1.4
+    th = np.linspace(0.0, np.pi, 37)
+    ph, wph = _gauss_legendre(32, 2 * np.pi)
+    numeric = piezo_angular(th[:, None], ph[None, :], m_p) ** 2 @ wph
+    closed = 2 * np.pi * m_p**2 / 16 * np.sin(th) ** 2 * (9 + 7 * np.cos(2 * th))
+    np.testing.assert_allclose(numeric, closed, rtol=1e-13, atol=1e-15)
+
+
+# Bohr frequencies (ueV) from 0.5 to 40610.5: the low-lying spin channels,
+# fig4a's tunneling-split channels, fig4b's channels near 20 meV, and
+# full16's channels near 40 meV, where the form factors underflow J.
+ORACLE_POINTS = [
+    (0.5, "plus"),
+    (0.5, "minus"),
+    (14.32, "minus"),
+    (20.57, "plus"),
+    (36.38, "plus"),
+    (73.36, "plus"),
+    (209.99, "minus"),
+    (425.33, "minus"),
+    (3330.38, "plus"),
+    (17075.2, "plus"),
+    (19998.81, "minus"),
+    (20002.52, "minus"),
+    (20083.72, "plus"),
+    (20387.57, "minus"),
+    (20442.15, "plus"),
+    (20617.25, "minus"),
+    (20916.8, "plus"),
+    (40610.5, "plus"),
+    (40610.5, "minus"),
+    (40783.67, "plus"),
+]
+
+
+@pytest.mark.parametrize("omega,parity", ORACLE_POINTS)
+def test_spectral_density_matches_solid_angle_rule(omega, parity):
+    geom, material = DotGeometry(), MaterialParams()
+    j = spectral_density(omega, parity, geom, material)
+    ref = solid_angle_spectral_density(omega, parity, geom, material)
+    assert abs(j - ref) <= 1e-12 * abs(ref) + 1e-15
+
+
+def test_presets_build_no_quadrature_nodes():
+    """Setting up (import, presets) leaves the theta rule unbuilt until a J is needed."""
+    src = str(Path(physics.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import qdm; qdm.scenario_presets(); "
+        "print(qdm.physics._theta_rule.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "0"
 
 
 def test_spectral_density_basic_properties():

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
+from conftest import trace_preservation_defect
 from qdm.basis import state_vector
 from qdm.dynamics import evolve, steady_state
 from qdm.entanglement import qubit_concurrence
@@ -16,8 +17,7 @@ from qdm.scenarios import ScenarioConfig, build_liouvillian, initial_state
 @st.composite
 def configs(draw):
     model = draw(st.sampled_from(("effective6", "effective8", "full9", "full16")))
-    # a cold full16 phonon quadrature takes seconds; full16 runs coherent only
-    phonons = model != "full16" and draw(st.booleans())
+    phonons = draw(st.booleans())
     tunneling = draw(st.booleans())
     temperature = draw(st.floats(0.0, 4.0))
     init = draw(st.sampled_from(("paper_mixture", "ground_00", "random")))
@@ -60,7 +60,7 @@ def test_every_accepted_config_is_physical(config):
     d = liouv.dim
     m = liouv.matrix
 
-    assert liouv.trace_preservation_defect() < 1e-10
+    assert trace_preservation_defect(liouv) < 1e-10
     # L(X^dag) = L(X)^dag: in column stacking, entry [(i,j),(k,l)] is the
     # conjugate of entry [(j,i),(l,k)]
     blocks = m.reshape(d, d, d, d)
