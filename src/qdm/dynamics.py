@@ -12,11 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisKind, state_vector
-from .entanglement import qubit_concurrence
+from .entanglement import qubit_concurrences
 from .errors import ConvergenceTimeoutError, DegenerateSteadyStateError, DomainError
 from .operators import (
     DensityMatrix,
     Superoperator,
+    physical_states,
     trace_distance_matrices,
     unvectorize,
     vectorize,
@@ -31,6 +32,7 @@ STEADY_RESIDUAL_TOL = 1e-9
 DEFAULT_T_MAX_NS = 50.0 * HBAR_UEV_NS / 1.2
 
 _COARSE_STEPS = 256
+_MARCH_BLOCK = 16  # coarse steps per batched distance evaluation
 
 
 @dataclass(frozen=True)
@@ -42,9 +44,10 @@ class Trajectory:
     concurrence: np.ndarray
     leak: np.ndarray
     populations: dict[str, np.ndarray]
+    matrices: np.ndarray  # the (n, d, d) stack that `states` view
 
     def __post_init__(self) -> None:
-        for arr in (self.times, self.concurrence, self.leak):
+        for arr in (self.times, self.concurrence, self.leak, self.matrices):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -53,16 +56,6 @@ class Trajectory:
     @property
     def final_state(self) -> DensityMatrix:
         return self.states[-1]
-
-
-def _trajectory_from_states(times: np.ndarray, states: tuple[DensityMatrix, ...]) -> Trajectory:
-    conc = np.empty(len(states))
-    leak = np.empty(len(states))
-    for i, st in enumerate(states):
-        conc[i], leak[i] = qubit_concurrence(st)
-    labels = states[0].basis.labels
-    pops = {lab: np.array([st.matrix[j, j].real for st in states]) for j, lab in enumerate(labels)}
-    return Trajectory(np.asarray(times, dtype=float), states, conc, leak, pops)
 
 
 #: Padé [13/13] coefficients b_0..b_13, and the 1-norm up to which that
@@ -113,9 +106,9 @@ def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Traj
     Exact stepping: one propagator exp(L dt) per distinct grid step, applied
     by matrix-vector products, so a uniform grid costs a single `expm`. Steps
     that differ by a few ULP of the end time (the jitter of `np.diff` on a
-    `linspace` grid) share a propagator. Every snapshot is validated as a
-    physical state, so trace drift or loss of positivity beyond tolerance
-    surfaces as an error rather than silently corrupt observables.
+    `linspace` grid) share a propagator. One batched pass validates the
+    snapshot stack, and the observables come off it, so trace drift or loss
+    of positivity beyond tolerance surfaces as an error, not as corrupt data.
     """
     t_grid_ns = np.asarray(t_grid_ns, dtype=float)
     if t_grid_ns[0] != 0.0 or np.any(np.diff(t_grid_ns) <= 0):
@@ -125,15 +118,20 @@ def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Traj
 
     same_step = 16 * np.spacing(t_grid_ns[-1])
     props: dict[float, np.ndarray] = {}
-    v = vectorize(rho0.matrix)
-    states = [DensityMatrix(rho0.basis, rho0.matrix)]
-    for dt in np.diff(t_grid_ns):
+    dim = rho0.dim
+    vecs = np.empty((len(t_grid_ns), dim * dim), dtype=complex)
+    vecs[0] = vectorize(rho0.matrix)
+    for i, dt in enumerate(np.diff(t_grid_ns), start=1):
         key = next((s for s in props if abs(s - dt) <= same_step), dt)
         if key not in props:
             props[key] = _propagator(L.matrix, dt)
-        v = props[key] @ v
-        states.append(DensityMatrix(rho0.basis, unvectorize(v, rho0.dim)))
-    return _trajectory_from_states(t_grid_ns, tuple(states))
+        np.matmul(props[key], vecs[i - 1], out=vecs[i])
+    # row k is the column-stacked rho_k, so the stack is the transposed reshape
+    stack = physical_states(vecs.reshape(-1, dim, dim).swapaxes(1, 2))
+    conc, leak = qubit_concurrences(rho0.basis, stack)
+    pops = {lab: stack[:, j, j].real for j, lab in enumerate(rho0.basis.labels)}
+    states = tuple(DensityMatrix(rho0.basis, m, validate=False) for m in stack)
+    return Trajectory(t_grid_ns, states, conc, leak, pops, stack)
 
 
 def propagator_expm(L: Superoperator, t_ns: float) -> Superoperator:
@@ -180,8 +178,9 @@ def characteristic_time(
 ) -> float:
     """First time (ns) the state comes within `epsilon` of the steady state.
 
-    Marches over [0, t_max] in _COARSE_STEPS steps of one propagator, then
-    bisects the crossing step to 1% relative precision with half-width
+    Marches over [0, t_max] in _COARSE_STEPS steps of one propagator, with
+    one batched distance call per _MARCH_BLOCK steps, to the first step within
+    `epsilon`. Then bisects that step to 1% relative precision with half-width
     propagators squared from the finest: two Padé evaluations in all.
     Distance is trace distance to `steady`, or to the steady state of L.
     """
@@ -198,18 +197,19 @@ def characteristic_time(
     step = _propagator(L.matrix, dt_ns)
     dim = rho0.dim
 
-    def dist(v: np.ndarray) -> float:
-        return trace_distance_matrices(unvectorize(v, dim), target)
-
-    v = vectorize(rho0.matrix)
-    k_hit = None
-    for k in range(1, _COARSE_STEPS + 1):
-        v_next = step @ v
-        if dist(v_next) <= epsilon:
-            k_hit = k
+    # row i of `block` is the state k0 + i steps in; rows are column-stacked
+    block = np.empty((_MARCH_BLOCK + 1, dim * dim), dtype=complex)
+    block[0] = vectorize(rho0.matrix)
+    for k0 in range(0, _COARSE_STEPS, _MARCH_BLOCK):
+        for i in range(1, _MARCH_BLOCK + 1):
+            np.matmul(step, block[i - 1], out=block[i])
+        rhos = block[1:].reshape(-1, dim, dim).swapaxes(1, 2)
+        hits = np.flatnonzero(trace_distance_matrices(rhos, target) <= epsilon)
+        if hits.size:
+            k_hit, v = k0 + int(hits[0]) + 1, block[hits[0]]
             break
-        v = v_next
-    if k_hit is None:
+        block[0] = block[-1]
+    else:
         raise ConvergenceTimeoutError(
             f"state not within {epsilon} of the steady state by {t_max_ns:.4g} ns"
         )
@@ -233,7 +233,7 @@ def characteristic_time(
         width /= 2.0
         v_mid = prop @ v_lo
         t_mid = t_lo + width
-        if dist(v_mid) <= epsilon:
+        if trace_distance_matrices(unvectorize(v_mid, dim), target) <= epsilon:
             t_hi = t_mid
         else:
             t_lo, v_lo = t_mid, v_mid
@@ -257,11 +257,8 @@ def adiabatic_validity(L_full: Superoperator, rho0: DensityMatrix, t_grid_ns: np
         labels = ["S0t", "S1t"]
     else:
         raise DomainError("adiabatic_validity needs a basis with eliminated states")
-    vectors = [state_vector(basis, lab) for lab in labels]
+    vectors = np.array([state_vector(basis, lab) for lab in labels])
 
     traj = evolve(rho0, L_full, t_grid_ns)
-    worst = 0.0
-    for st in traj.states:
-        pop = sum(float((vec.conj() @ st.matrix @ vec).real) for vec in vectors)
-        worst = max(worst, pop)
-    return worst
+    pops = np.einsum("ki,nij,kj->n", vectors.conj(), traj.matrices, vectors).real
+    return max(0.0, float(pops.max()))

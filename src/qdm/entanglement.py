@@ -18,9 +18,31 @@ _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def qubit_projector_rows(basis: ModelBasis) -> np.ndarray:
-    """4 x dim matrix whose rows are the two-qubit product states in `basis`."""
-    return np.stack([state_vector(basis, lab).conj() for lab in TWO_QUBIT_LABELS])
+def qubit_concurrences(basis: ModelBasis, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrence and leak of each state of an (n, d, d) stack on `basis`, from
+    one projection and one batched `eigvals`; a failure reports the worst state."""
+    blocks, leak = _qubit_blocks(basis, stack)
+    return _wootters(blocks), leak
+
+
+def _qubit_blocks(basis: ModelBasis, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    P = np.stack([state_vector(basis, lab).conj() for lab in TWO_QUBIT_LABELS])
+    blocks = P @ stack @ P.conj().T
+    weight = np.trace(blocks, axis1=1, axis2=2).real
+    if weight.min() < _SUBSPACE_TRACE_FLOOR:
+        raise EmptySubspaceError(
+            f"two-qubit subspace weight {weight.min():.2e} below {_SUBSPACE_TRACE_FLOOR}"
+        )
+    blocks /= weight[:, None, None]
+    return blocks, np.minimum(np.maximum(1.0 - weight, 0.0), 1.0)
+
+
+def _wootters(blocks: np.ndarray) -> np.ndarray:
+    ev = np.linalg.eigvals(blocks @ _YY @ blocks.conj() @ _YY).real
+    if ev.min() < -POSITIVITY_TOL:
+        raise PositivityError(f"concurrence eigenvalues negative: min {ev.min():.2e}")
+    lam = np.sort(np.sqrt(np.clip(ev, 0.0, None)), axis=1)
+    return np.minimum(1.0, np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0]))
 
 
 def project_to_qubits(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
@@ -30,16 +52,8 @@ def project_to_qubits(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     leaked population ``1 - Tr(P rho P)``. Raises if the qubit subspace is
     numerically empty (all population sits on trion states).
     """
-    P = qubit_projector_rows(rho.basis)
-    block = P @ rho.matrix @ P.conj().T
-    weight = float(block.trace().real)
-    if weight < _SUBSPACE_TRACE_FLOOR:
-        raise EmptySubspaceError(
-            f"two-qubit subspace weight {weight:.2e} below {_SUBSPACE_TRACE_FLOOR}"
-        )
-    rho2 = DensityMatrix(TWO_QUBIT_BASIS, block / weight, validate=False)
-    leak = min(max(1.0 - weight, 0.0), 1.0)
-    return rho2, leak
+    blocks, leak = _qubit_blocks(rho.basis, rho.matrix[None])
+    return DensityMatrix(TWO_QUBIT_BASIS, blocks[0], validate=False), float(leak[0])
 
 
 def concurrence(rho2: DensityMatrix) -> float:
@@ -51,16 +65,10 @@ def concurrence(rho2: DensityMatrix) -> float:
     """
     if rho2.dim != 4:
         raise PositivityError("concurrence expects a 4-dimensional two-qubit state")
-    m = rho2.matrix
-    R = m @ _YY @ m.conj() @ _YY
-    ev = np.linalg.eigvals(R).real
-    if ev.min() < -POSITIVITY_TOL:
-        raise PositivityError(f"concurrence eigenvalues negative: min {ev.min():.2e}")
-    lam = np.sort(np.sqrt(np.clip(ev, 0.0, None)))[::-1]
-    return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
+    return float(_wootters(rho2.matrix[None])[0])
 
 
 def qubit_concurrence(rho: DensityMatrix) -> tuple[float, float]:
     """Concurrence of the projected qubit block, together with the leak."""
-    rho2, leak = project_to_qubits(rho)
-    return concurrence(rho2), leak
+    conc, leak = qubit_concurrences(rho.basis, rho.matrix[None])
+    return float(conc[0]), float(leak[0])

@@ -58,22 +58,32 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         m = _as_square(self.matrix, self.basis.dim, "density matrix")
         if self.validate:
-            herm = float(np.abs(m - m.conj().T).max())
-            if herm > DENSITY_HERMITICITY_TOL:
-                raise PositivityError(f"density matrix not Hermitian: max dev {herm:.2e}")
-            tr = m.trace()
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise PositivityError(f"density matrix trace {tr:.10f} != 1")
-            m = (m + m.conj().T) / 2
-            wmin = float(np.linalg.eigvalsh(m).min())
-            if wmin < -POSITIVITY_TOL:
-                raise PositivityError(f"density matrix min eigenvalue {wmin:.2e}")
+            m = physical_states(m[None].copy())[0]
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
         return self.basis.dim
+
+
+def physical_states(stack: np.ndarray) -> np.ndarray:
+    """Check a writable (n, d, d) stack of states as DensityMatrix does, with one
+    batched `eigvalsh`, Hermitize it in place and return it. A failed check
+    reports the worst matrix, so a single bad one raises what it raises alone."""
+    adj = stack.conj().swapaxes(-1, -2)
+    herm = np.abs(stack - adj).max(axis=(-1, -2))
+    if herm.max() > DENSITY_HERMITICITY_TOL:
+        raise PositivityError(f"density matrix not Hermitian: max dev {herm.max():.2e}")
+    tr = np.trace(stack, axis1=-2, axis2=-1)
+    if abs(tr - 1.0).max() > TRACE_TOL:
+        raise PositivityError(f"density matrix trace {tr[abs(tr - 1.0).argmax()]:.10f} != 1")
+    stack += adj
+    stack /= 2
+    wmin = np.linalg.eigvalsh(stack).min()
+    if wmin < -POSITIVITY_TOL:
+        raise PositivityError(f"density matrix min eigenvalue {wmin:.2e}")
+    return stack
 
 
 @dataclass(frozen=True)
@@ -126,10 +136,12 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return trace_distance_matrices(rho1.matrix, rho2.matrix)
 
 
-def trace_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> float:
+def trace_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> float | np.ndarray:
     """Half the trace norm of the difference of two Hermitian matrices.
 
     The difference is Hermitian, so its singular values are the moduli of
-    its eigenvalues; `eigvalsh` reads only its lower triangle.
+    its eigenvalues; `eigvalsh` reads only its lower triangle. Broadcasts over
+    leading axes, one batched call for a stack; two matrices give a float.
     """
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(m1 - m2)).sum())
+    dist = 0.5 * np.abs(np.linalg.eigvalsh(m1 - m2)).sum(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist

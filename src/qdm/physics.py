@@ -40,12 +40,17 @@ def zeeman_splittings(b_x: float, g_e: float, g_h: float) -> tuple[float, float,
     return e_b_e, e_b_h, e_b_e + e_b_h, e_b_e - e_b_h
 
 
-def _forster_integral(x: float, order: int) -> float:
-    # substitute t = sin(u) to remove the 1/sqrt(1 - t^2) endpoint singularity
+@functools.cache
+def _forster_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    # substitute t = sin(u) to remove the 1/sqrt(1 - t^2) endpoint singularity;
+    # cached, as leggauss(400) alone takes about 20 ms. Returns t^2 and weights
     u, w = np.polynomial.legendre.leggauss(order)
     u = (u + 1.0) * (np.pi / 4)
-    w = w * (np.pi / 4)
-    t2 = np.sin(u) ** 2
+    return np.sin(u) ** 2, w * (np.pi / 4)
+
+
+def _forster_integral(x: float, order: int) -> float:
+    t2, w = _forster_rule(order)
     nu = x * x * t2 / (2.0 * (1.0 - t2))
     return float(x**3 / (2 * np.pi) * np.sum(w * (1.0 - 2.0 * nu) * np.exp(-nu)))
 

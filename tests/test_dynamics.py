@@ -26,9 +26,16 @@ from qdm.errors import (
     PositivityError,
 )
 from qdm.hamiltonians import build_effective_hamiltonian, build_full_hamiltonian
-from qdm.operators import DensityMatrix, Superoperator, trace_distance, unvectorize, vectorize
+from qdm.operators import (
+    DensityMatrix,
+    Superoperator,
+    trace_distance,
+    trace_distance_matrices,
+    unvectorize,
+    vectorize,
+)
 from qdm.params import HBAR_UEV_NS, DriveParams
-from qdm.scenarios import build_liouvillian, scenario_presets
+from qdm.scenarios import build_liouvillian, initial_state, scenario_presets
 
 
 def test_zero_generator_is_identity_flow(basis6, paper_mixture):
@@ -252,6 +259,101 @@ def test_characteristic_time_timeout(liouv6, paper_mixture):
         characteristic_time(liouv6, paper_mixture, epsilon=1e-9, t_max_ns=1.0)
     with pytest.raises(DomainError):
         characteristic_time(liouv6, paper_mixture, epsilon=1.5)
+
+
+def serial_characteristic_time(L, rho0, epsilon, t_max_ns):
+    """The step-by-step march, one distance per step, then the bisection.
+
+    Returns (t_hi, k_hit), or None when no step comes within epsilon.
+    """
+    target = steady_state(L).matrix
+    dt = t_max_ns / dynamics._COARSE_STEPS
+    step = dynamics._propagator(L.matrix, dt)
+
+    def dist(v):
+        return trace_distance_matrices(unvectorize(v, rho0.dim), target)
+
+    v = vectorize(rho0.matrix)
+    for k in range(1, dynamics._COARSE_STEPS + 1):
+        v_next = step @ v
+        if dist(v_next) <= epsilon:
+            break
+        v = v_next
+    else:
+        return None
+
+    def resolved(width, t_hi):
+        return width <= 0.01 * max(t_hi, dt * 1e-3)
+
+    t_lo, t_hi, width, depth = (k - 1) * dt, k * dt, dt, 0
+    while not resolved(dt / 2**depth, t_lo):
+        depth += 1
+    halves = [dynamics._propagator(L.matrix, dt / 2**depth)] if depth else []
+    while len(halves) < depth:
+        halves.insert(0, halves[0] @ halves[0])
+    for prop in halves:
+        if resolved(width, t_hi):
+            break
+        width /= 2.0
+        v_mid = prop @ v
+        if dist(v_mid) <= epsilon:
+            t_hi = t_lo + width
+        else:
+            t_lo, v = t_lo + width, v_mid
+    return t_hi, k
+
+
+@pytest.mark.parametrize("k", [1, 16, 17, 256])
+def test_blocked_march_matches_serial_march(liouv6, paper_mixture, k):
+    eps = 0.1
+    steady = steady_state(liouv6)
+
+    def dist(t):
+        rho = propagator_expm(liouv6, t).apply(paper_mixture.matrix)
+        return trace_distance(DensityMatrix(liouv6.basis, rho), steady)
+
+    lo, hi = 1.0, 20.0  # the crossing, resolved far below one coarse step
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if dist(mid) <= eps else (mid, hi)
+    # put the crossing half-way into coarse step k
+    t_max = dynamics._COARSE_STEPS * hi / (k - 0.5)
+    want = serial_characteristic_time(liouv6, paper_mixture, eps, t_max)
+    assert want is not None and want[1] == k
+    assert characteristic_time(liouv6, paper_mixture, eps, t_max, steady) == want[0]
+
+
+def test_blocked_march_times_out_where_serial_march_does(liouv6, paper_mixture):
+    assert serial_characteristic_time(liouv6, paper_mixture, 0.1, 2.0) is None
+    with pytest.raises(ConvergenceTimeoutError):
+        characteristic_time(liouv6, paper_mixture, epsilon=0.1, t_max_ns=2.0)
+
+
+def test_evolve_eigensolver_calls_do_not_grow_with_the_grid(monkeypatch):
+    cfg = scenario_presets()["fig3a"]
+    liouv = build_liouvillian(cfg)
+    rho0 = initial_state(cfg, liouv.basis)
+    calls = []
+
+    def counting(name):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+
+        return counted
+
+    for name in ("eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    counts = []
+    for grid in (cfg.times_ns(), np.linspace(0.0, cfg.times_ns()[-1], 801)):
+        calls.clear()
+        evolve(rho0, liouv, grid)
+        counts.append(len(calls))
+    assert len(cfg.times_ns()) == 201
+    # one batched validation and one batched concurrence per run
+    assert counts == [2, 2]
 
 
 def test_initial_state_independence(liouv6, basis6):

@@ -7,9 +7,10 @@ from qdm.entanglement import (
     concurrence,
     project_to_qubits,
     qubit_concurrence,
+    qubit_concurrences,
 )
 from qdm.errors import EmptySubspaceError
-from qdm.operators import DensityMatrix
+from qdm.operators import DensityMatrix, physical_states
 from qdm.scenarios import scenario_presets, sweep_temperature
 
 
@@ -76,3 +77,37 @@ def test_concurrence_at_most_one_on_fig4b_dark_point():
     ((_, _, c_ss, _, _, error),) = sweep.rows
     assert not error
     assert 1.0 - 1e-12 < c_ss <= 1.0
+
+
+def ginibre_stack(dim, n, seed):
+    """n seeded Ginibre states of rank 1, 2 or dim in turn: pure and
+    low-rank ones are entangled on the qubit block, full-rank ones mostly not."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for i in range(n):
+        rank = (1, 2, dim)[i % 3]
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        rho = g @ g.conj().T
+        states.append(rho / rho.trace())
+    return physical_states(np.array(states))
+
+
+@pytest.mark.parametrize("make_basis", [effective6, full9])
+def test_stacked_concurrence_matches_single_states(make_basis):
+    b = make_basis()
+    stack = ginibre_stack(b.dim, 30, seed=b.dim)
+    conc, leak = qubit_concurrences(b, stack)
+    singles = [qubit_concurrence(DensityMatrix(b, m, validate=False)) for m in stack]
+    np.testing.assert_array_equal(conc, [c for c, _ in singles])
+    np.testing.assert_array_equal(leak, [lk for _, lk in singles])
+    assert conc.max() > 0.1  # the stack is not trivially separable
+
+
+def test_stacked_projection_raises_on_an_empty_interior_snapshot():
+    b = effective6()
+    stack = ginibre_stack(6, 5, seed=3)
+    trion = np.zeros((6, 6), dtype=complex)
+    trion[b.index("S0s"), b.index("S0s")] = 1.0
+    stack[2] = trion
+    with pytest.raises(EmptySubspaceError):
+        qubit_concurrences(b, stack)

@@ -10,6 +10,7 @@ from qdm.operators import (
     OperatorMatrix,
     Superoperator,
     lindblad_term,
+    physical_states,
     trace_distance,
     trace_distance_matrices,
     unvectorize,
@@ -95,3 +96,46 @@ def test_trace_distance_matches_singular_values():
             m1, m2 = g1 + g1.conj().T, g2 + g2.conj().T
             want = 0.5 * la.svdvals(m1 - m2).sum()
             assert abs(trace_distance_matrices(m1, m2) - want) < 1e-12 * want
+
+
+def _bad_state(kind, dim=6):
+    m = random_density(dim, 21)
+    if kind == "not Hermitian":
+        m[0, 1] += 1e-6
+    elif kind == "trace":
+        m *= 1.0 + 1e-6
+    else:
+        m = np.diag([1.5, -0.5] + [0.0] * (dim - 2)).astype(complex)
+    return m
+
+
+def test_physical_states_match_single_validation(basis6):
+    stack = np.array([random_density(6, seed) for seed in range(8)])
+    stack[:, 0, 1] += 1e-12  # Hermitian only within tolerance
+    singles = [DensityMatrix(basis6, m).matrix for m in stack]
+    out = physical_states(stack)
+    assert out is stack
+    np.testing.assert_array_equal(out, np.array(singles))
+
+
+@pytest.mark.parametrize("kind", ["not Hermitian", "trace", "min eigenvalue"])
+def test_physical_states_bad_interior_snapshot_raises_as_alone(basis6, kind):
+    bad = _bad_state(kind)
+    with pytest.raises(PositivityError) as alone:
+        DensityMatrix(basis6, bad)
+    assert kind in str(alone.value)
+    stack = np.array([random_density(6, seed) for seed in range(5)])
+    stack[2] = bad
+    with pytest.raises(PositivityError) as stacked:
+        physical_states(stack)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_trace_distance_broadcasts_over_a_stack():
+    stack = np.array([random_density(6, seed) for seed in range(6)])
+    target = random_density(6, 99)
+    batched = trace_distance_matrices(stack, target)
+    assert batched.shape == (6,)
+    for m, d in zip(stack, batched):
+        assert trace_distance_matrices(m, target) == d

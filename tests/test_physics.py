@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -190,12 +191,14 @@ def test_spectral_density_matches_solid_angle_rule(omega, parity):
 
 
 def test_presets_build_no_quadrature_nodes():
-    """Setting up (import, presets) leaves the theta rule unbuilt until a J is needed."""
+    """Setting up (import, presets) leaves the theta rule unbuilt until a J is
+    needed, and the Förster rule until a Förster coupling is."""
     src = str(Path(physics.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
         "import qdm; qdm.scenario_presets(); "
-        "print(qdm.physics._theta_rule.cache_info().currsize)"
+        "print(qdm.physics._theta_rule.cache_info().currsize, "
+        "qdm.physics._forster_rule.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", script],
@@ -204,7 +207,21 @@ def test_presets_build_no_quadrature_nodes():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "0 0"
+
+
+def test_forster_nodes_are_built_once(monkeypatch):
+    forster_coupling(DotGeometry())
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting_leggauss(order):
+        calls.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    assert forster_coupling(replace(DotGeometry(), eps_r=5.0)) < 0
+    assert calls == []
 
 
 def test_spectral_density_basic_properties():
