@@ -33,7 +33,7 @@ from .dynamics import (
     propagator_expm,
     steady_state,
 )
-from .entanglement import concurrence, project_to_qubits, qubit_concurrence
+from .entanglement import concurrence, qubit_concurrence
 from .errors import QdmError
 from .hamiltonians import (
     DressedBasisInfo,
@@ -105,7 +105,6 @@ __all__ = [
     "make_basis",
     "phonon_dissipator",
     "phonon_eigenoperators",
-    "project_to_qubits",
     "propagator_expm",
     "qubit_concurrence",
     "run_scenario",

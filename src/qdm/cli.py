@@ -55,6 +55,17 @@ class _CliError(Exception):
         self.code = code
 
 
+def _env_seed() -> int | None:
+    """The integer in QDM_SEED, None if it is unset."""
+    raw = os.environ.get("QDM_SEED")
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise _CliError(EXIT_SCHEMA, f"QDM_SEED must be an integer, got {raw!r}") from None
+
+
 def load_config_file(path: Path) -> ScenarioConfig:
     """Parse a JSON scenario file whose keys mirror ScenarioConfig fields."""
     try:
@@ -83,9 +94,9 @@ def load_config_file(path: Path) -> ScenarioConfig:
             kwargs[key] = tuple(value)
         else:
             kwargs[key] = value
-    seed_env = os.environ.get("QDM_SEED")
-    if seed_env is not None and "seed" not in kwargs:
-        kwargs["seed"] = int(seed_env)
+    seed = _env_seed()
+    if seed is not None and "seed" not in kwargs:
+        kwargs["seed"] = seed
     try:
         return ScenarioConfig(**kwargs)
     except (ConfigError, TypeError, ValueError) as exc:
@@ -95,11 +106,8 @@ def load_config_file(path: Path) -> ScenarioConfig:
 def _resolve_scenario(spec: str) -> ScenarioConfig:
     presets = scenario_presets()
     if spec in presets:
-        config = presets[spec]
-        seed_env = os.environ.get("QDM_SEED")
-        if seed_env is not None:
-            config = dataclasses.replace(config, seed=int(seed_env))
-        return config
+        seed = _env_seed()
+        return presets[spec] if seed is None else dataclasses.replace(presets[spec], seed=seed)
     path = Path(spec)
     if path.suffix and path.exists():
         return load_config_file(path)
@@ -156,12 +164,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     started = time.time()
     result = run_scenario(config)
     traj = result.trajectory
-    header = ["t_ns", "concurrence", "leak"] + [f"p_{lab}" for lab in traj.states[0].basis.labels]
+    header = ["t_ns", "concurrence", "leak"] + [f"p_{lab}" for lab in traj.basis.labels]
     rows = []
     for i, t in enumerate(traj.times):
         rows.append(
             [float(t), float(traj.concurrence[i]), float(traj.leak[i])]
-            + [float(traj.populations[lab][i]) for lab in traj.states[0].basis.labels]
+            + [float(traj.populations[lab][i]) for lab in traj.basis.labels]
         )
     _write_csv(out / "trajectory.csv", header, rows)
     summary = {

@@ -32,37 +32,37 @@ _ZERO_OP_TOL = 1e-14
 
 @dataclass(frozen=True)
 class CollapseSet:
-    """Jump operators (units sqrt(ueV)) with provenance labels."""
+    """Jump operators (units sqrt(ueV)) on `basis` as one read-only ``(n, d, d)``
+    stack, a copy of `ops`, with one provenance label each; ``()`` is the empty set."""
 
-    ops: tuple[OperatorMatrix, ...]
+    basis: ModelBasis
+    ops: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(self.ops) != len(self.labels):
-            raise BasisMismatchError("one label per collapse operator required")
-        kinds = {op.basis.labels for op in self.ops}
-        if len(kinds) > 1:
-            raise BasisMismatchError("collapse operators must share one basis")
+        d = self.basis.dim
+        ops = np.array(self.ops, dtype=complex)
+        if ops.shape == (0,):
+            ops = ops.reshape(0, d, d)
+        if ops.shape != (len(self.labels), d, d):
+            raise BasisMismatchError(
+                f"collapse operators must be {(len(self.labels), d, d)}, got {ops.shape}"
+            )
+        ops.setflags(write=False)
+        object.__setattr__(self, "ops", ops)
 
     def __len__(self) -> int:
         return len(self.ops)
 
     def merged(self, other: "CollapseSet") -> "CollapseSet":
-        return CollapseSet(self.ops + other.ops, self.labels + other.labels)
-
-    def stacked(self, dim: int) -> np.ndarray:
-        """The operators as one ``(n, dim, dim)`` array, ``(0, dim, dim)`` if empty."""
-        return np.array([op.matrix for op in self.ops], dtype=complex).reshape(-1, dim, dim)
+        if other.basis.labels != self.basis.labels:
+            raise BasisMismatchError("collapse operators must share one basis")
+        ops = np.concatenate([self.ops, other.ops])
+        return CollapseSet(self.basis, ops, self.labels + other.labels)
 
     def total_decay(self) -> np.ndarray:
-        """Sum of L^dag L, the anticommutator part of the dissipator.
-
-        An empty set has no dimension; its sum is the scalar 0.
-        """
-        if not self.ops:
-            return np.zeros((), dtype=complex)
-        ops = self.stacked(self.ops[0].dim)
-        return (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
+        """Sum of L^dag L, the anticommutator part of the dissipator."""
+        return (self.ops.conj().transpose(0, 2, 1) @ self.ops).sum(axis=0)
 
 
 def _effective_spontaneous(gamma0: float, gamma1: float, basis: ModelBasis) -> CollapseSet:
@@ -74,10 +74,7 @@ def _effective_spontaneous(gamma0: float, gamma1: float, basis: ModelBasis) -> C
         ketbra(basis, "11", "S1s") + ketbra(basis, "S01", "S0s") / math.sqrt(2)
     )
     l4 = math.sqrt(gamma1 / 2) * ketbra(basis, "A01", "S0s")
-    return CollapseSet(
-        tuple(OperatorMatrix(basis, m) for m in (l1, l2, l3, l4)),
-        ("L1", "L2", "L3", "L4"),
-    )
+    return CollapseSet(basis, (l1, l2, l3, l4), ("L1", "L2", "L3", "L4"))
 
 
 def _full_spontaneous(gamma0: float, gamma1: float, basis: ModelBasis) -> CollapseSet:
@@ -89,10 +86,7 @@ def _full_spontaneous(gamma0: float, gamma1: float, basis: ModelBasis) -> Collap
         math.sqrt(gamma1) * (d11 + d12) / math.sqrt(2),
         math.sqrt(gamma1) * (d11 - d12) / math.sqrt(2),
     )
-    return CollapseSet(
-        tuple(OperatorMatrix(basis, m) for m in mats),
-        ("L1", "L2", "L3", "L4"),
-    )
+    return CollapseSet(basis, mats, ("L1", "L2", "L3", "L4"))
 
 
 def spontaneous_collapse_ops(gamma0: float, gamma1: float, basis: ModelBasis) -> CollapseSet:
@@ -138,9 +132,7 @@ def _eigen_clusters(energies: np.ndarray) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def phonon_eigenoperators(
-    H: OperatorMatrix,
-) -> list[tuple[float, OperatorMatrix, OperatorMatrix]]:
+def phonon_eigenoperators(H: OperatorMatrix) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Secular eigenoperator channels of `H` through the trion occupations.
 
     For every pair of eigenvalue clusters (a, b) with Bohr frequency
@@ -166,9 +158,7 @@ def phonon_eigenoperators(
             p_asym = pa @ o_asym @ pb
             if max(np.abs(p_sym).max(), np.abs(p_asym).max()) < _ZERO_OP_TOL:
                 continue
-            channels.append(
-                (omega, OperatorMatrix(H.basis, p_sym), OperatorMatrix(H.basis, p_asym))
-            )
+            channels.append((omega, p_sym, p_asym))
     return channels
 
 
@@ -187,25 +177,23 @@ def phonon_dissipator(
     """
     if temperature < 0:
         raise ValueError("temperature must be nonnegative")
-    ops: list[OperatorMatrix] = []
+    ops: list[np.ndarray] = []
     labels: list[str] = []
     for omega, p_sym, p_asym in phonon_eigenoperators(H):
         occ = bose_occupation(omega, temperature) if temperature > 0 else 0.0
         for parity, p in (("plus", p_sym), ("minus", p_asym)):
-            if np.abs(p.matrix).max() < _ZERO_OP_TOL:
+            if np.abs(p).max() < _ZERO_OP_TOL:
                 continue
             j = spectral_density(omega, parity, geom, material)
             if j <= 0.0:
                 continue
             sign = "+" if parity == "plus" else "-"
-            ops.append(OperatorMatrix(H.basis, math.sqrt(j * (occ + 1.0)) * p.matrix))
+            ops.append(math.sqrt(j * (occ + 1.0)) * p)
             labels.append(f"phonon({omega:.6g},{sign},down)")
             if occ > 0.0:
-                ops.append(
-                    OperatorMatrix(H.basis, math.sqrt(j * occ) * p.matrix.conj().T)
-                )
+                ops.append(math.sqrt(j * occ) * p.conj().T)
                 labels.append(f"phonon({omega:.6g},{sign},up)")
-    return CollapseSet(tuple(ops), tuple(labels))
+    return CollapseSet(H.basis, ops, tuple(labels))
 
 
 def assemble_liouvillian(H: OperatorMatrix, collapse: CollapseSet) -> Superoperator:
@@ -216,11 +204,10 @@ def assemble_liouvillian(H: OperatorMatrix, collapse: CollapseSet) -> Superopera
     ``(d^2, n) @ (n, d^2)`` product of the flattened operators, reordered from
     ``[(i, k), (j, l)]`` to Kronecker order ``[(i, j), (k, l)]``.
     """
-    for op in collapse.ops:
-        if op.basis.labels != H.basis.labels:
-            raise BasisMismatchError("collapse operators must share the Hamiltonian basis")
+    if collapse.basis.labels != H.basis.labels:
+        raise BasisMismatchError("collapse operators must share the Hamiltonian basis")
     d = H.dim
-    flat = collapse.stacked(d).reshape(-1, d * d)
+    flat = collapse.ops.reshape(-1, d * d)
     jumps = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     h_eff = H.matrix - 0.5j * collapse.total_decay()
     ident = np.eye(d)

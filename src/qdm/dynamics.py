@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisKind, state_vector
+from .basis import BasisKind, ModelBasis, state_vector
 from .entanglement import qubit_concurrences
 from .errors import ConvergenceTimeoutError, DegenerateSteadyStateError, DomainError
 from .operators import (
@@ -37,17 +37,18 @@ _MARCH_BLOCK = 16  # coarse steps per batched distance evaluation
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of a master-equation run on a fixed time grid."""
+    """Snapshots of a master-equation run on a fixed time grid: row k of the
+    (n, d, d) stack `matrices` is the state on `basis` at `times[k]`."""
 
+    basis: ModelBasis
     times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    matrices: np.ndarray
     concurrence: np.ndarray
     leak: np.ndarray
     populations: dict[str, np.ndarray]
-    matrices: np.ndarray  # the (n, d, d) stack that `states` view
 
     def __post_init__(self) -> None:
-        for arr in (self.times, self.concurrence, self.leak, self.matrices):
+        for arr in (self.times, self.concurrence, self.leak, self.matrices, *self.populations.values()):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -55,7 +56,7 @@ class Trajectory:
 
     @property
     def final_state(self) -> DensityMatrix:
-        return self.states[-1]
+        return DensityMatrix(self.basis, self.matrices[-1])
 
 
 #: Padé [13/13] coefficients b_0..b_13, and the 1-norm up to which that
@@ -106,11 +107,11 @@ def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Traj
     Exact stepping: one propagator exp(L dt) per distinct grid step, applied
     by matrix-vector products, so a uniform grid costs a single `expm`. Steps
     that differ by a few ULP of the end time (the jitter of `np.diff` on a
-    `linspace` grid) share a propagator. One batched pass validates the
+    `linspace` grid) share a propagator. One batched pass checks the
     snapshot stack, and the observables come off it, so trace drift or loss
     of positivity beyond tolerance surfaces as an error, not as corrupt data.
     """
-    t_grid_ns = np.asarray(t_grid_ns, dtype=float)
+    t_grid_ns = np.array(t_grid_ns, dtype=float)
     if t_grid_ns[0] != 0.0 or np.any(np.diff(t_grid_ns) <= 0):
         raise DomainError("t_grid must ascend from 0")
     if rho0.basis.labels != L.basis.labels:
@@ -126,12 +127,10 @@ def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Traj
         if key not in props:
             props[key] = _propagator(L.matrix, dt)
         np.matmul(props[key], vecs[i - 1], out=vecs[i])
-    # row k is the column-stacked rho_k, so the stack is the transposed reshape
-    stack = physical_states(vecs.reshape(-1, dim, dim).swapaxes(1, 2))
+    stack = physical_states(unvectorize(vecs, dim))
     conc, leak = qubit_concurrences(rho0.basis, stack)
     pops = {lab: stack[:, j, j].real for j, lab in enumerate(rho0.basis.labels)}
-    states = tuple(DensityMatrix(rho0.basis, m, validate=False) for m in stack)
-    return Trajectory(t_grid_ns, states, conc, leak, pops, stack)
+    return Trajectory(rho0.basis, t_grid_ns, stack, conc, leak, pops)
 
 
 def propagator_expm(L: Superoperator, t_ns: float) -> Superoperator:
@@ -197,14 +196,14 @@ def characteristic_time(
     step = _propagator(L.matrix, dt_ns)
     dim = rho0.dim
 
-    # row i of `block` is the state k0 + i steps in; rows are column-stacked
+    # row i of `block` is vec(rho) k0 + i steps in
     block = np.empty((_MARCH_BLOCK + 1, dim * dim), dtype=complex)
     block[0] = vectorize(rho0.matrix)
     for k0 in range(0, _COARSE_STEPS, _MARCH_BLOCK):
         for i in range(1, _MARCH_BLOCK + 1):
             np.matmul(step, block[i - 1], out=block[i])
-        rhos = block[1:].reshape(-1, dim, dim).swapaxes(1, 2)
-        hits = np.flatnonzero(trace_distance_matrices(rhos, target) <= epsilon)
+        dist = trace_distance_matrices(unvectorize(block[1:], dim), target)
+        hits = np.flatnonzero(dist <= epsilon)
         if hits.size:
             k_hit, v = k0 + int(hits[0]) + 1, block[hits[0]]
             break

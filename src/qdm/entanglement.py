@@ -20,12 +20,12 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 def qubit_concurrences(basis: ModelBasis, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concurrence and leak of each state of an (n, d, d) stack on `basis`, from
-    one projection and one batched `eigvals`; a failure reports the worst state."""
-    blocks, leak = _qubit_blocks(basis, stack)
-    return _wootters(blocks), leak
+    one projection and one batched `eigvals`; a failure reports the worst state.
 
-
-def _qubit_blocks(basis: ModelBasis, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    The concurrence is that of the block on ``{|00>, |01>, |10>, |11>}``,
+    renormalized; the leak is ``1 - Tr(P rho P)``. Raises if that block is
+    numerically empty (all population sits on trion states).
+    """
     P = np.stack([state_vector(basis, lab).conj() for lab in TWO_QUBIT_LABELS])
     blocks = P @ stack @ P.conj().T
     weight = np.trace(blocks, axis1=1, axis2=2).real
@@ -34,7 +34,7 @@ def _qubit_blocks(basis: ModelBasis, stack: np.ndarray) -> tuple[np.ndarray, np.
             f"two-qubit subspace weight {weight.min():.2e} below {_SUBSPACE_TRACE_FLOOR}"
         )
     blocks /= weight[:, None, None]
-    return blocks, np.minimum(np.maximum(1.0 - weight, 0.0), 1.0)
+    return _wootters(blocks), np.minimum(np.maximum(1.0 - weight, 0.0), 1.0)
 
 
 def _wootters(blocks: np.ndarray) -> np.ndarray:
@@ -43,17 +43,6 @@ def _wootters(blocks: np.ndarray) -> np.ndarray:
         raise PositivityError(f"concurrence eigenvalues negative: min {ev.min():.2e}")
     lam = np.sort(np.sqrt(np.clip(ev, 0.0, None)), axis=1)
     return np.minimum(1.0, np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0]))
-
-
-def project_to_qubits(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
-    """Project onto the two-qubit subspace and renormalize.
-
-    Returns the renormalized 4x4 state on ``{|00>, |01>, |10>, |11>}`` and the
-    leaked population ``1 - Tr(P rho P)``. Raises if the qubit subspace is
-    numerically empty (all population sits on trion states).
-    """
-    blocks, leak = _qubit_blocks(rho.basis, rho.matrix[None])
-    return DensityMatrix(TWO_QUBIT_BASIS, blocks[0], validate=False), float(leak[0])
 
 
 def concurrence(rho2: DensityMatrix) -> float:

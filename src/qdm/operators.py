@@ -7,7 +7,7 @@ package is built with this one convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,8 @@ POSITIVITY_TOL = 1e-8
 
 
 def _as_square(matrix: np.ndarray, dim: int, what: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+    """A complex copy of `matrix`, so freezing it leaves the caller's array alone."""
+    m = np.array(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise BasisMismatchError(f"{what} must be {dim}x{dim}, got {m.shape}")
     return m
@@ -53,12 +54,9 @@ class DensityMatrix:
 
     basis: ModelBasis
     matrix: np.ndarray
-    validate: bool = field(default=True, compare=False)
 
     def __post_init__(self) -> None:
-        m = _as_square(self.matrix, self.basis.dim, "density matrix")
-        if self.validate:
-            m = physical_states(m[None].copy())[0]
+        m = physical_states(_as_square(self.matrix, self.basis.dim, "density matrix")[None])[0]
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -88,7 +86,7 @@ def physical_states(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """A matrix acting on column-stacked density matrices."""
+    """A matrix acting on vectorized density matrices."""
 
     basis: ModelBasis
     matrix: np.ndarray
@@ -113,7 +111,13 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
 
 
 def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
+    """Inverse of `vectorize` on the last axis, broadcast over leading ones.
+
+    A vec(rho) row reshaped in C order is rho transposed, so the result is a
+    transposed view of `v` wherever its layout allows.
+    """
+    v = np.asarray(v, dtype=complex)
+    return v.reshape(*v.shape[:-1], dim, dim).swapaxes(-1, -2)
 
 
 def lindblad_term(L: OperatorMatrix) -> Superoperator:

@@ -243,7 +243,7 @@ def test_criterion_09_reduction_chain(presets):
     t8 = evolve(initial_state(cfg8, sup8.basis), sup8, ts)
     t6 = evolve(initial_state(presets["fig3a"], sup6.basis), sup6, ts)
     worst = max(
-        0.5 * la.svdvals(t8.states[k].matrix[:6, :6] - t6.states[k].matrix).sum()
+        0.5 * la.svdvals(t8.matrices[k][:6, :6] - t6.matrices[k]).sum()
         for k in range(1, len(ts))
     )
     ok = worst < 1e-8
@@ -280,8 +280,7 @@ def test_criterion_10_numerical_core_oracles(liouv, presets):
     for seed in range(5):
         rho = random_density(6, 400 + seed)
         rhs = -1j * (h.matrix @ rho - rho @ h.matrix)
-        for op in cs.ops:
-            lm = op.matrix
+        for lm in cs.ops:
             rhs += lm @ rho @ lm.conj().T - 0.5 * (
                 lm.conj().T @ lm @ rho + rho @ lm.conj().T @ lm
             )

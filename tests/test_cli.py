@@ -129,3 +129,19 @@ def test_seed_env_var(tmp_path, monkeypatch):
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 1234
+
+
+def test_non_integer_seed_env_var_is_a_schema_error_for_a_preset(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QDM_SEED", "abc")
+    code = main(["run", "--scenario", "fig3a", "--out", str(tmp_path / "o")])
+    assert code == EXIT_SCHEMA
+    assert "QDM_SEED" in capsys.readouterr().err
+
+
+def test_non_integer_seed_env_var_is_a_schema_error_for_a_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QDM_SEED", "1.5")
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps({"model": "effective6", "t_grid": [0.0, 5.0, 3]}))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_SCHEMA
+    assert "QDM_SEED" in capsys.readouterr().err

@@ -25,14 +25,14 @@ def test_zero_rates_give_zero_operators(basis6):
     cs = spontaneous_collapse_ops(0.0, 0.0, basis6)
     assert len(cs) == 4
     for op in cs.ops:
-        assert np.abs(op.matrix).max() == 0.0
+        assert np.abs(op).max() == 0.0
 
 
 def test_no_operator_touches_the_singlet(basis6):
     cs = spontaneous_collapse_ops(1.2, 1.2, basis6)
     a01 = state_vector(basis6, "A01")
     for op in cs.ops:
-        assert np.abs(op.matrix @ a01).max() < 1e-14
+        assert np.abs(op @ a01).max() < 1e-14
 
 
 def test_total_decay_rate_from_s1s(basis6):
@@ -51,15 +51,16 @@ def test_full9_embedding_restricts_to_effective_operators():
     for op9, op6 in zip(cs9.ops, cs6.ops):
         for row in b6.labels:
             for col in b6.labels:
-                got = state_vector(b9, row).conj() @ op9.matrix @ state_vector(b9, col)
-                want = op6.matrix[b6.index(row), b6.index(col)]
+                got = state_vector(b9, row).conj() @ op9 @ state_vector(b9, col)
+                want = op6[b6.index(row), b6.index(col)]
                 assert abs(got - want) < 1e-12, (op9, row, col)
 
 
 def test_collapse_set_label_mismatch(basis6):
-    op = OperatorMatrix(basis6, np.zeros((6, 6)))
-    with pytest.raises(BasisMismatchError):
-        CollapseSet((op,), ("a", "b"))
+    # one (6, 6) operator per label: a wrong count or a wrong shape both fail
+    for shape in [(1, 6, 6), (2, 5, 5), (6, 6)]:
+        with pytest.raises(BasisMismatchError):
+            CollapseSet(basis6, np.zeros(shape), ("a", "b"))
 
 
 def test_eigenoperators_empty_for_zero_hamiltonian(basis6):
@@ -79,7 +80,7 @@ def test_eigenoperator_frequencies_bounded_by_drive(drive):
 def test_antisymmetric_coupling_absent_on_effective6(drive):
     h = build_effective_hamiltonian(drive)
     for _omega, _ps, pa in phonon_eigenoperators(h):
-        assert np.abs(pa.matrix).max() < 1e-14
+        assert np.abs(pa).max() < 1e-14
 
 
 def test_phonon_dissipator_zero_temperature_downward_only(drive):
@@ -103,7 +104,7 @@ def test_phonon_detailed_balance(drive):
     for lab, down, up in pairs:
         # the label carries omega to 6 significant digits
         omega = float(lab.split("(")[1].split(",")[0])
-        ratio = (np.abs(up.matrix).max() / np.abs(down.matrix).max()) ** 2
+        ratio = (np.abs(up).max() / np.abs(down).max()) ** 2
         assert abs(ratio - math.exp(-omega / (K_B_UEV_PER_K * temp))) < 1e-6
 
 
@@ -119,14 +120,14 @@ def test_phonon_rates_grow_with_temperature(drive):
 
 def test_liouvillian_zero_inputs(basis6):
     h = OperatorMatrix(basis6, np.zeros((6, 6)))
-    sup = assemble_liouvillian(h, CollapseSet((), ()))
+    sup = assemble_liouvillian(h, CollapseSet(basis6, (), ()))
     assert np.abs(sup.matrix).max() == 0.0
 
 
 def test_empty_collapse_set(drive, basis6):
-    empty = CollapseSet((), ())
-    assert np.array_equal(empty.total_decay(), 0.0)
-    assert empty.stacked(6).shape == (0, 6, 6)
+    empty = CollapseSet(basis6, (), ())
+    assert np.array_equal(empty.total_decay(), np.zeros((6, 6)))
+    assert empty.ops.shape == (0, 6, 6)
     h = build_effective_hamiltonian(drive)
     sup = assemble_liouvillian(h, empty)
     ident = np.eye(6)
@@ -153,7 +154,7 @@ def test_stacked_assembly_matches_per_operator_sum(case, monkeypatch):
     ident = np.eye(h.dim)
     oracle = -1j * (np.kron(ident, h.matrix) - np.kron(h.matrix.T, ident))
     for op in collapse.ops:
-        oracle = oracle + lindblad_term(op).matrix
+        oracle = oracle + lindblad_term(OperatorMatrix(h.basis, op)).matrix
     scale = np.abs(oracle).max()
     assert np.abs(sup.matrix - oracle).max() <= 1e-12 * scale
 
@@ -164,8 +165,7 @@ def test_liouvillian_matches_direct_master_equation(liouv6, drive, basis6):
     for seed in range(5):
         rho = random_density(6, 200 + seed)
         direct = -1j * (h.matrix @ rho - rho @ h.matrix)
-        for op in cs.ops:
-            lm = op.matrix
+        for lm in cs.ops:
             direct += lm @ rho @ lm.conj().T - 0.5 * (
                 lm.conj().T @ lm @ rho + rho @ lm.conj().T @ lm
             )
@@ -204,3 +204,21 @@ def test_liouvillian_rejects_foreign_basis(drive, basis6):
     cs = spontaneous_collapse_ops(1.0, 1.0, effective8())
     with pytest.raises(BasisMismatchError):
         assemble_liouvillian(h, cs)
+
+
+def test_collapse_set_merge_across_bases_raises(basis6):
+    cs6 = spontaneous_collapse_ops(1.2, 1.2, basis6)
+    cs8 = spontaneous_collapse_ops(1.2, 1.2, effective8())
+    with pytest.raises(BasisMismatchError):
+        cs6.merged(cs8)
+
+
+def test_collapse_set_holds_a_read_only_copy(basis6):
+    ops = np.zeros((2, 6, 6), dtype=complex)
+    cs = CollapseSet(basis6, ops, ("a", "b"))
+    ops[0, 0, 0] = 1.0
+    assert cs.ops.shape == (2, 6, 6) and len(cs) == 2
+    assert np.abs(cs.ops).max() == 0.0
+    assert not cs.ops.flags.writeable
+    with pytest.raises(ValueError):
+        cs.ops[0, 0, 0] = 1.0

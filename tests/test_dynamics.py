@@ -41,8 +41,8 @@ from qdm.scenarios import build_liouvillian, initial_state, scenario_presets
 def test_zero_generator_is_identity_flow(basis6, paper_mixture):
     sup = Superoperator(basis6, np.zeros((36, 36)))
     traj = evolve(paper_mixture, sup, np.linspace(0.0, 10.0, 5))
-    for st in traj.states:
-        assert trace_distance(st, paper_mixture) < 1e-10
+    for m in traj.matrices:
+        assert trace_distance_matrices(m, paper_mixture.matrix) < 1e-10
 
 
 def test_evolve_requires_ascending_grid(liouv6, paper_mixture):
@@ -78,9 +78,9 @@ def test_evolve_uniform_grid_computes_one_expm(liouv6, paper_mixture, monkeypatc
 def test_evolve_nonuniform_grid_matches_propagator(liouv6, paper_mixture):
     ts = np.array([0.0, 2.0, 5.0, 12.0, 30.0, 50.0])
     traj = evolve(paper_mixture, liouv6, ts)
-    for t, st in zip(ts, traj.states):
+    for t, m in zip(ts, traj.matrices):
         direct = propagator_expm(liouv6, t).apply(paper_mixture.matrix)
-        assert np.abs(st.matrix - direct).max() < 1e-12
+        assert np.abs(m - direct).max() < 1e-12
 
 
 def test_evolve_rejects_trace_loss(basis6, paper_mixture):
@@ -113,9 +113,9 @@ def test_import_leaves_scipy_integrate_unloaded():
 
 def test_evolve_positivity_and_trace_along_trajectory(liouv6, paper_mixture):
     traj = evolve(paper_mixture, liouv6, np.linspace(0.0, 40.0, 41))
-    for st in traj.states:
-        assert la.eigvalsh(st.matrix).min() > -1e-8
-        assert abs(st.matrix.trace() - 1) < 1e-8
+    for m in traj.matrices:
+        assert la.eigvalsh(m).min() > -1e-8
+        assert abs(m.trace() - 1) < 1e-8
     pops = np.array([traj.populations[lab] for lab in paper_mixture.basis.labels])
     np.testing.assert_allclose(pops.sum(axis=0), 1.0, atol=1e-8)
 
@@ -404,3 +404,38 @@ def test_adiabatic_validity_grows_when_hierarchy_breaks():
             adiabatic_validity(sup, initial_state(cfg, sup.basis), np.linspace(0.0, 50.0, 26))
         )
     assert values[0] < values[1] < values[2]
+
+
+def test_evolve_leaves_the_time_grid_writable(liouv6, paper_mixture):
+    grid = np.linspace(0.0, 1.0, 5)
+    traj = evolve(paper_mixture, liouv6, grid)
+    grid[1] = 0.3
+    assert traj.times[1] == 0.25
+    assert not traj.times.flags.writeable
+
+
+def test_final_state_is_the_last_snapshot_bitwise(liouv6, paper_mixture):
+    traj = evolve(paper_mixture, liouv6, np.linspace(0.0, 30.0, 201))
+    assert traj.final_state.basis == traj.basis == paper_mixture.basis
+    assert traj.final_state.matrix.tobytes() == traj.matrices[-1].tobytes()
+    # the populations view the stack, so they are as read-only as it is
+    for arr in (traj.matrices, *traj.populations.values()):
+        assert not arr.flags.writeable
+
+
+def test_evolve_builds_no_density_matrix_per_snapshot(monkeypatch):
+    cfg = scenario_presets()["fig3a"]
+    liouv = build_liouvillian(cfg)
+    rho0 = initial_state(cfg, liouv.basis)
+    built = []
+    post_init = DensityMatrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    for grid in (cfg.times_ns(), np.linspace(0.0, cfg.times_ns()[-1], 801)):
+        traj = evolve(rho0, liouv, grid)
+        assert traj.matrices.shape == (len(grid), 6, 6)
+    assert built == []

@@ -5,7 +5,6 @@ from qdm.basis import effective6, full9, state_vector
 from qdm.entanglement import (
     TWO_QUBIT_BASIS,
     concurrence,
-    project_to_qubits,
     qubit_concurrence,
     qubit_concurrences,
 )
@@ -38,9 +37,9 @@ def test_projection_from_effective6():
     b = effective6()
     a01 = state_vector(b, "A01")
     rho = DensityMatrix(b, np.outer(a01, a01.conj()))
-    rho2, leak = project_to_qubits(rho)
+    c, leak = qubit_concurrence(rho)
     assert leak < 1e-12
-    assert abs(concurrence(rho2) - 1.0) < 1e-12
+    assert abs(c - 1.0) < 1e-12
 
 
 def test_projection_reports_leak():
@@ -67,7 +66,7 @@ def test_empty_qubit_subspace_raises():
     m = np.zeros((6, 6), dtype=complex)
     m[b.index("S0s"), b.index("S0s")] = 1.0
     with pytest.raises(EmptySubspaceError):
-        project_to_qubits(DensityMatrix(b, m))
+        qubit_concurrence(DensityMatrix(b, m))
 
 
 def test_concurrence_at_most_one_on_fig4b_dark_point():
@@ -97,7 +96,7 @@ def test_stacked_concurrence_matches_single_states(make_basis):
     b = make_basis()
     stack = ginibre_stack(b.dim, 30, seed=b.dim)
     conc, leak = qubit_concurrences(b, stack)
-    singles = [qubit_concurrence(DensityMatrix(b, m, validate=False)) for m in stack]
+    singles = [qubit_concurrence(DensityMatrix(b, m)) for m in stack]
     np.testing.assert_array_equal(conc, [c for c, _ in singles])
     np.testing.assert_array_equal(leak, [lk for _, lk in singles])
     assert conc.max() > 0.1  # the stack is not trivially separable

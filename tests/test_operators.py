@@ -139,3 +139,27 @@ def test_trace_distance_broadcasts_over_a_stack():
     assert batched.shape == (6,)
     for m, d in zip(stack, batched):
         assert trace_distance_matrices(m, target) == d
+
+
+def test_unvectorize_broadcasts_over_a_stack_as_a_view():
+    stack = np.array([random_density(6, seed) for seed in range(4)])
+    rows = np.array([vectorize(m) for m in stack])
+    out = unvectorize(rows, 6)
+    assert out.shape == (4, 6, 6)
+    for row, m in zip(rows, out):
+        np.testing.assert_array_equal(m, unvectorize(row, 6))
+    np.testing.assert_array_equal(out, stack)
+    assert np.shares_memory(out, rows)
+
+
+def test_wrappers_copy_the_callers_array(basis6):
+    m = random_density(6, 3)
+    sup = np.kron(m, m)
+    wrapped = [OperatorMatrix(basis6, m), DensityMatrix(basis6, m), Superoperator(basis6, sup)]
+    before = [w.matrix.copy() for w in wrapped]
+    assert m.flags.writeable and sup.flags.writeable
+    m[0, 0] += 1.0
+    sup[0, 0] += 1.0
+    for w, want in zip(wrapped, before):
+        np.testing.assert_array_equal(w.matrix, want)
+        assert not w.matrix.flags.writeable
