@@ -30,10 +30,9 @@ from .dynamics import (
     adiabatic_validity,
     characteristic_time,
     evolve,
-    propagator_expm,
     steady_state,
 )
-from .entanglement import concurrence, qubit_concurrence
+from .entanglement import qubit_concurrence
 from .errors import QdmError
 from .hamiltonians import (
     DressedBasisInfo,
@@ -42,7 +41,7 @@ from .hamiltonians import (
     build_full_hamiltonian,
     dressed_basis,
 )
-from .operators import DensityMatrix, OperatorMatrix, Superoperator, trace_distance
+from .operators import DensityMatrix, OperatorMatrix, Superoperator
 from .params import (
     HBAR_UEV_NS,
     CouplingParams,
@@ -93,7 +92,6 @@ __all__ = [
     "build_effective_tunneling_hamiltonian",
     "build_full_hamiltonian",
     "characteristic_time",
-    "concurrence",
     "dressed_basis",
     "effective6",
     "effective8",
@@ -105,7 +103,6 @@ __all__ = [
     "make_basis",
     "phonon_dissipator",
     "phonon_eigenoperators",
-    "propagator_expm",
     "qubit_concurrence",
     "run_scenario",
     "scenario_presets",
@@ -115,7 +112,6 @@ __all__ = [
     "steady_state",
     "sweep_T0",
     "sweep_temperature",
-    "trace_distance",
     "wkb_tunneling_rate",
     "zeeman_splittings",
 ]

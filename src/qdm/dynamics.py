@@ -19,8 +19,8 @@ from .operators import (
     Superoperator,
     physical_states,
     trace_distance_matrices,
-    unvectorize,
-    vectorize,
+    unvectorize_real,
+    vectorize_real,
 )
 from .params import HBAR_UEV_NS
 
@@ -68,8 +68,10 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA_13 = 5.371920351148152
 
 
-def _propagator(gen: np.ndarray, t_ns: float) -> np.ndarray:
-    """exp(gen t) for a time `t_ns` in ns: the one way a state is propagated.
+def _propagators(gen: np.ndarray, t_ns: float) -> list[np.ndarray]:
+    """[exp(gen t / 2^s), ..., exp(gen t)], `t_ns` in ns, real or complex: the
+    Padé core and its s squarings. As scaling by 2^-s is exact, entry k is
+    bitwise the propagator that a call over t / 2^(s - k) returns.
 
     Padé [13/13] with scaling and squaring, on numpy's BLAS only. No module
     of the package may call SciPy's linalg: its wheel loads a second OpenBLAS
@@ -82,7 +84,7 @@ def _propagator(gen: np.ndarray, t_ns: float) -> np.ndarray:
         raise DomainError(f"generator over {t_ns} ns has a non-finite norm")
     ident = np.eye(a.shape[0], dtype=a.dtype)
     if norm == 0.0:
-        return ident
+        return [ident]
     s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
     a = a / 2.0**s
     b = _PADE13
@@ -95,21 +97,27 @@ def _propagator(gen: np.ndarray, t_ns: float) -> np.ndarray:
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     # (V - U)^-1 (V + U), written as I + 2 (V - U)^-1 U: the identity stays
     # exact, so the trace row drifts less over the squarings
-    r = ident + 2.0 * np.linalg.solve(v - u, u)
+    ladder = [ident + 2.0 * np.linalg.solve(v - u, u)]
     for _ in range(s):
-        r = r @ r
-    return r
+        ladder.append(ladder[-1] @ ladder[-1])
+    return ladder
+
+
+def _propagator(gen: np.ndarray, t_ns: float) -> np.ndarray:
+    """exp(gen t) for a time `t_ns` in ns: the one way a state is propagated."""
+    return _propagators(gen, t_ns)[-1]
 
 
 def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Trajectory:
     """Propagate d(vec rho)/dt = L vec(rho) and snapshot on `t_grid_ns`.
 
-    Exact stepping: one propagator exp(L dt) per distinct grid step, applied
-    by matrix-vector products, so a uniform grid costs a single `expm`. Steps
-    that differ by a few ULP of the end time (the jitter of `np.diff` on a
-    `linspace` grid) share a propagator. One batched pass checks the
-    snapshot stack, and the observables come off it, so trace drift or loss
-    of positivity beyond tolerance surfaces as an error, not as corrupt data.
+    Exact stepping in the real frame: one propagator exp(G dt), G =
+    `L.real_matrix`, per distinct grid step, applied by matrix-vector
+    products, so a uniform grid costs a single `expm`. Steps that differ by a
+    few ULP of the end time (the jitter of `np.diff` on a `linspace` grid)
+    share a propagator. One batched pass checks the snapshot stack, and the
+    observables come off it, so trace drift or loss of positivity beyond
+    tolerance surfaces as an error, not as corrupt data.
     """
     t_grid_ns = np.array(t_grid_ns, dtype=float)
     if t_grid_ns[0] != 0.0 or np.any(np.diff(t_grid_ns) <= 0):
@@ -120,37 +128,31 @@ def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Traj
     same_step = 16 * np.spacing(t_grid_ns[-1])
     props: dict[float, np.ndarray] = {}
     dim = rho0.dim
-    vecs = np.empty((len(t_grid_ns), dim * dim), dtype=complex)
-    vecs[0] = vectorize(rho0.matrix)
+    vecs = np.empty((len(t_grid_ns), dim * dim))
+    vecs[0] = vectorize_real(rho0.matrix)
     for i, dt in enumerate(np.diff(t_grid_ns), start=1):
         key = next((s for s in props if abs(s - dt) <= same_step), dt)
         if key not in props:
-            props[key] = _propagator(L.matrix, dt)
+            props[key] = _propagator(L.real_matrix, dt)
         np.matmul(props[key], vecs[i - 1], out=vecs[i])
-    stack = physical_states(unvectorize(vecs, dim))
+    stack = physical_states(unvectorize_real(vecs, dim))
     conc, leak = qubit_concurrences(rho0.basis, stack)
     pops = {lab: stack[:, j, j].real for j, lab in enumerate(rho0.basis.labels)}
     return Trajectory(rho0.basis, t_grid_ns, stack, conc, leak, pops)
 
 
-def propagator_expm(L: Superoperator, t_ns: float) -> Superoperator:
-    """Matrix exponential exp(L t) as a superoperator, `t_ns` in ns."""
-    if t_ns < 0:
-        raise DomainError("propagation time must be nonnegative")
-    return Superoperator(L.basis, _propagator(L.matrix, t_ns))
-
-
 def steady_state(L: Superoperator) -> DensityMatrix:
     """The unique fixed point of the generator.
 
-    Direct solve: L with its first row replaced by the trace row, against
-    the right-hand side e_0, so the solution has unit trace by construction
-    (QuTiP's "direct" method, Johansson, Nation & Nori, arXiv:1110.0573).
-    Raises if the null space is not one-dimensional, counted as singular
-    values of L below NULL_SINGULAR_VALUE_TOL, or if the Hermitized
-    solution's residual exceeds STEADY_RESIDUAL_TOL.
+    Direct solve in the real frame: G = `L.real_matrix` with its first row
+    (rho_00's equation) replaced by the trace row, against the right-hand
+    side e_0, so the solution has unit trace by construction (QuTiP's
+    "direct" method, Johansson, Nation & Nori, arXiv:1110.0573). Raises if
+    the null space is not one-dimensional, counted as singular values of G
+    below NULL_SINGULAR_VALUE_TOL, or if the residual exceeds STEADY_RESIDUAL_TOL.
     """
-    sv = np.linalg.svd(L.matrix, compute_uv=False)
+    gen = L.real_matrix
+    sv = np.linalg.svd(gen, compute_uv=False)
     null_count = int(np.sum(sv < NULL_SINGULAR_VALUE_TOL))
     if null_count != 1:
         raise DegenerateSteadyStateError(
@@ -158,14 +160,13 @@ def steady_state(L: Superoperator) -> DensityMatrix:
             f"(smallest: {np.array2string(sv[::-1][:3], precision=3)})"
         )
     dim = L.dim
-    a = L.matrix.copy()
-    a[0] = vectorize(np.eye(dim))
-    rho = unvectorize(np.linalg.solve(a, np.eye(dim * dim, 1)[:, 0]), dim)
-    rho = (rho + rho.conj().T) / 2
-    residual = np.linalg.norm(L.matrix @ vectorize(rho))
+    a = gen.copy()
+    a[0] = np.arange(dim * dim) < dim  # the trace row
+    x = np.linalg.solve(a, np.eye(dim * dim, 1)[:, 0])
+    residual = np.linalg.norm(gen @ x)
     if residual > STEADY_RESIDUAL_TOL:
         raise DegenerateSteadyStateError(f"steady-state residual {residual:.2e}")
-    return DensityMatrix(L.basis, rho)
+    return DensityMatrix(L.basis, unvectorize_real(x, dim))
 
 
 def characteristic_time(
@@ -177,10 +178,11 @@ def characteristic_time(
 ) -> float:
     """First time (ns) the state comes within `epsilon` of the steady state.
 
-    Marches over [0, t_max] in _COARSE_STEPS steps of one propagator, with
-    one batched distance call per _MARCH_BLOCK steps, to the first step within
-    `epsilon`. Then bisects that step to 1% relative precision with half-width
-    propagators squared from the finest: two Padé evaluations in all.
+    Marches in the real frame over [0, t_max] in _COARSE_STEPS steps of one
+    propagator, with one batched distance call per _MARCH_BLOCK steps, to the
+    first step within `epsilon`. Then bisects that step to 1% relative
+    precision on the half steps that the march step's Padé squared up through;
+    only a deeper bisection (a crossing in the first step) runs a second Padé.
     Distance is trace distance to `steady`, or to the steady state of L.
     """
     if not 0.0 < epsilon < 1.0:
@@ -193,16 +195,16 @@ def characteristic_time(
         return 0.0
 
     dt_ns = t_max_ns / _COARSE_STEPS
-    step = _propagator(L.matrix, dt_ns)
+    ladder = _propagators(L.real_matrix, dt_ns)  # its last entry is the march step
     dim = rho0.dim
 
-    # row i of `block` is vec(rho) k0 + i steps in
-    block = np.empty((_MARCH_BLOCK + 1, dim * dim), dtype=complex)
-    block[0] = vectorize(rho0.matrix)
+    # row i of `block` holds the coordinates of rho k0 + i steps in
+    block = np.empty((_MARCH_BLOCK + 1, dim * dim))
+    block[0] = vectorize_real(rho0.matrix)
     for k0 in range(0, _COARSE_STEPS, _MARCH_BLOCK):
         for i in range(1, _MARCH_BLOCK + 1):
-            np.matmul(step, block[i - 1], out=block[i])
-        dist = trace_distance_matrices(unvectorize(block[1:], dim), target)
+            np.matmul(ladder[-1], block[i - 1], out=block[i])
+        dist = trace_distance_matrices(unvectorize_real(block[1:], dim), target)
         hits = np.flatnonzero(dist <= epsilon)
         if hits.size:
             k_hit, v = k0 + int(hits[0]) + 1, block[hits[0]]
@@ -214,8 +216,7 @@ def characteristic_time(
         )
 
     # bisect inside [(k_hit - 1) dt, k_hit dt]. t_hi never drops below the
-    # lower end, so the halving stops by the depth whose width is 1% of it:
-    # that width is exponentiated once and each coarser one is its square
+    # lower end, so the halving stops by the depth whose width is 1% of it
     def resolved(width: float, t_hi: float) -> bool:
         return width <= 0.01 * max(t_hi, dt_ns * 1e-3)
 
@@ -223,7 +224,8 @@ def characteristic_time(
     depth = 0
     while not resolved(dt_ns / 2**depth, t_lo):
         depth += 1
-    halves = [_propagator(L.matrix, dt_ns / 2**depth)] if depth else []
+    deeper = depth >= len(ladder)  # than the march step's squarings reach
+    halves = [_propagator(L.real_matrix, dt_ns / 2**depth)] if deeper else ladder[-2::-1][:depth]
     while len(halves) < depth:
         halves.insert(0, halves[0] @ halves[0])
     for prop in halves:  # halves[i] advances by dt / 2^(i + 1)
@@ -232,7 +234,7 @@ def characteristic_time(
         width /= 2.0
         v_mid = prop @ v_lo
         t_mid = t_lo + width
-        if trace_distance_matrices(unvectorize(v_mid, dim), target) <= epsilon:
+        if trace_distance_matrices(unvectorize_real(v_mid, dim), target) <= epsilon:
             t_hi = t_mid
         else:
             t_lo, v_lo = t_mid, v_mid

@@ -2,14 +2,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from scipy.integrate import solve_ivp
 
-from qdm.basis import effective6
+from qdm.basis import BasisKind, ModelBasis, effective6
 from qdm.dissipators import assemble_liouvillian, spontaneous_collapse_ops
+from qdm.entanglement import TWO_QUBIT_LABELS, _wootters
+from qdm.errors import BasisMismatchError
 from qdm.hamiltonians import build_effective_hamiltonian
-from qdm.operators import DensityMatrix, unvectorize, vectorize
+from qdm.operators import (
+    DensityMatrix,
+    Superoperator,
+    trace_distance_matrices,
+    unvectorize,
+    vectorize,
+)
 from qdm.params import HBAR_UEV_NS, DriveParams
 from qdm.scenarios import scenario_presets
+
+#: The bare two-qubit basis, on which `concurrence` reads a state.
+TWO_QUBIT_BASIS = ModelBasis(BasisKind.EFFECTIVE6, TWO_QUBIT_LABELS)
 
 
 @pytest.fixture
@@ -63,6 +75,19 @@ def trace_preservation_defect(sup):
     return float(np.abs(sup.matrix.conj().T @ ident).max())
 
 
+def dense_frame(dim):
+    """The unitary T from vec(rho) to real-frame coordinates, as a dense matrix:
+    the diagonal, then sqrt(2) Re rho_ij, then sqrt(2) Im rho_ij, i < j."""
+    i, j = np.triu_indices(dim, 1)
+    n = len(i)
+    t = np.zeros((dim * dim, dim * dim), dtype=complex)
+    t[np.arange(dim), np.arange(dim) * (dim + 1)] = 1.0
+    for k, (up, lo) in enumerate(zip(i + dim * j, j + dim * i)):
+        t[dim + k, [up, lo]] = np.sqrt(0.5)
+        t[dim + n + k, [up, lo]] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
+    return t
+
+
 def full16_config():
     """full16 at the fig4a coupling, driven at its dressed resonance (400 ueV)."""
     fig4a = scenario_presets()["fig4a"]
@@ -85,3 +110,41 @@ def dop853_reference(sup, rho0, t_ns):
     )
     assert sol.success, sol.message
     return unvectorize(sol.y[:, -1], rho0.dim)
+
+
+def concurrence(rho2):
+    """Wootters concurrence of a state on TWO_QUBIT_BASIS."""
+    return float(_wootters(rho2.matrix[None])[0])
+
+
+def lindblad_term(L):
+    """Dissipator ``rho -> L rho L^dag - (1/2){L^dag L, rho}`` as a superoperator,
+    one Kronecker product per term: the reference for the stacked assembly."""
+    Lm = L.matrix
+    LdL = Lm.conj().T @ Lm
+    ident = np.eye(L.dim)
+    sup = (
+        np.kron(Lm.conj(), Lm)
+        - 0.5 * np.kron(ident, LdL)
+        - 0.5 * np.kron(LdL.T, ident)
+    )
+    return Superoperator(L.basis, sup)
+
+
+def trace_distance(rho1, rho2):
+    """Half the trace norm of the difference of two states on one basis."""
+    if rho1.basis.labels != rho2.basis.labels:
+        raise BasisMismatchError("trace_distance requires a common basis")
+    return trace_distance_matrices(rho1.matrix, rho2.matrix)
+
+
+def apply(sup, rho):
+    """The action of a superoperator on a d x d matrix."""
+    d = sup.dim
+    return (sup.matrix @ rho.flatten(order="F")).reshape(d, d, order="F")
+
+
+def propagator_expm(sup, t_ns):
+    """exp(L t) as a superoperator, `t_ns` in ns, from scipy's `expm`: an oracle
+    independent of the package's Padé propagator."""
+    return Superoperator(sup.basis, la.expm(sup.matrix * (t_ns / HBAR_UEV_NS)))

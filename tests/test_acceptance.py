@@ -24,12 +24,11 @@ from qdm.dynamics import (
     adiabatic_validity,
     characteristic_time,
     evolve,
-    propagator_expm,
     steady_state,
 )
-from qdm.entanglement import TWO_QUBIT_BASIS, concurrence, qubit_concurrence
+from qdm.entanglement import qubit_concurrence
 from qdm.hamiltonians import build_effective_hamiltonian
-from qdm.operators import DensityMatrix, trace_distance, vectorize
+from qdm.operators import DensityMatrix, vectorize
 from qdm.params import DriveParams, HBAR_UEV_NS, MaterialParams
 from qdm.physics import forster_coupling, wkb_tunneling_rate
 from qdm.params import DotGeometry
@@ -42,7 +41,15 @@ from qdm.scenarios import (
     sweep_temperature,
 )
 
-from conftest import dop853_reference, random_density
+from conftest import (
+    TWO_QUBIT_BASIS,
+    apply,
+    concurrence,
+    dop853_reference,
+    propagator_expm,
+    random_density,
+    trace_distance,
+)
 
 
 #: Verdict lines, one per criterion; echoed in the pytest terminal summary.
@@ -254,7 +261,7 @@ def test_criterion_10_numerical_core_oracles(liouv, presets):
     rho0 = initial_state(presets["fig3a"], liouv.basis)
     reference = dop853_reference(liouv, rho0, 3.0)
     end = evolve(rho0, liouv, np.array([0.0, 3.0])).final_state.matrix
-    direct = propagator_expm(liouv, 3.0).apply(rho0.matrix)
+    direct = apply(propagator_expm(liouv, 3.0), rho0.matrix)
     d_int = max(0.5 * la.svdvals(m - reference).sum() for m in (end, direct))
 
     long_time = evolve(rho0, liouv, np.array([0.0, 200.0])).final_state
@@ -284,7 +291,7 @@ def test_criterion_10_numerical_core_oracles(liouv, presets):
             rhs += lm @ rho @ lm.conj().T - 0.5 * (
                 lm.conj().T @ lm @ rho + rho @ lm.conj().T @ lm
             )
-        d_liouv = max(d_liouv, np.abs(liouv.apply(rho) - rhs).max())
+        d_liouv = max(d_liouv, np.abs(apply(liouv, rho) - rhs).max())
 
     ok = d_int < 1e-8 and d_ss < 1e-6 and d_werner < 1e-10 and d_liouv < 1e-12
     _verdict(

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from conftest import full16_config, random_density, trace_preservation_defect
+from conftest import (
+    apply,
+    full16_config,
+    lindblad_term,
+    random_density,
+    trace_preservation_defect,
+)
 from qdm import scenarios
 from qdm.basis import effective6, effective8, full9, state_vector
 from qdm.dissipators import (
@@ -17,7 +23,7 @@ from qdm.dissipators import (
 )
 from qdm.errors import BasisMismatchError
 from qdm.hamiltonians import build_effective_hamiltonian
-from qdm.operators import OperatorMatrix, lindblad_term, vectorize
+from qdm.operators import OperatorMatrix, vectorize
 from qdm.params import DotGeometry, DriveParams, K_B_UEV_PER_K, MaterialParams
 
 
@@ -169,7 +175,7 @@ def test_liouvillian_matches_direct_master_equation(liouv6, drive, basis6):
             direct += lm @ rho @ lm.conj().T - 0.5 * (
                 lm.conj().T @ lm @ rho + rho @ lm.conj().T @ lm
             )
-        np.testing.assert_allclose(liouv6.apply(rho), direct, atol=1e-12)
+        np.testing.assert_allclose(apply(liouv6, rho), direct, atol=1e-12)
 
 
 def test_liouvillian_spectrum_is_dissipative(liouv6):

@@ -8,14 +8,21 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from conftest import dop853_reference, full16_config, random_density
+from conftest import (
+    apply,
+    dense_frame,
+    dop853_reference,
+    full16_config,
+    propagator_expm,
+    random_density,
+    trace_distance,
+)
 from qdm import dynamics
 from qdm.basis import BasisKind, state_vector
 from qdm.dynamics import (
     adiabatic_validity,
     characteristic_time,
     evolve,
-    propagator_expm,
     steady_state,
 )
 from qdm.dissipators import assemble_liouvillian, spontaneous_collapse_ops
@@ -29,10 +36,11 @@ from qdm.hamiltonians import build_effective_hamiltonian, build_full_hamiltonian
 from qdm.operators import (
     DensityMatrix,
     Superoperator,
-    trace_distance,
     trace_distance_matrices,
     unvectorize,
+    unvectorize_real,
     vectorize,
+    vectorize_real,
 )
 from qdm.params import HBAR_UEV_NS, DriveParams
 from qdm.scenarios import build_liouvillian, initial_state, scenario_presets
@@ -55,7 +63,7 @@ def test_evolve_requires_ascending_grid(liouv6, paper_mixture):
 def test_evolve_matches_propagator(liouv6, paper_mixture):
     reference = dop853_reference(liouv6, paper_mixture, 3.0)
     traj = evolve(paper_mixture, liouv6, np.array([0.0, 3.0]))
-    direct = propagator_expm(liouv6, 3.0).apply(paper_mixture.matrix)
+    direct = apply(propagator_expm(liouv6, 3.0), paper_mixture.matrix)
     for rho in (traj.final_state.matrix, direct):
         assert 0.5 * la.svdvals(rho - reference).sum() < 1e-8
 
@@ -79,7 +87,7 @@ def test_evolve_nonuniform_grid_matches_propagator(liouv6, paper_mixture):
     ts = np.array([0.0, 2.0, 5.0, 12.0, 30.0, 50.0])
     traj = evolve(paper_mixture, liouv6, ts)
     for t, m in zip(ts, traj.matrices):
-        direct = propagator_expm(liouv6, t).apply(paper_mixture.matrix)
+        direct = apply(propagator_expm(liouv6, t), paper_mixture.matrix)
         assert np.abs(m - direct).max() < 1e-12
 
 
@@ -121,11 +129,11 @@ def test_evolve_positivity_and_trace_along_trajectory(liouv6, paper_mixture):
 
 
 def test_propagator_identity_and_semigroup(liouv6):
-    ident = propagator_expm(liouv6, 0.0)
-    np.testing.assert_allclose(ident.matrix, np.eye(36), atol=1e-12)
-    p1 = propagator_expm(liouv6, 1.3).matrix
-    p2 = propagator_expm(liouv6, 2.2).matrix
-    p3 = propagator_expm(liouv6, 3.5).matrix
+    ident = dynamics._propagator(liouv6.matrix, 0.0)
+    np.testing.assert_allclose(ident, np.eye(36), atol=1e-12)
+    p1 = dynamics._propagator(liouv6.matrix, 1.3)
+    p2 = dynamics._propagator(liouv6.matrix, 2.2)
+    p3 = dynamics._propagator(liouv6.matrix, 3.5)
     assert np.abs(p1 @ p2 - p3).max() < 1e-9
 
 
@@ -137,23 +145,49 @@ def test_propagator_matches_scipy_expm():
         sup = build_liouvillian(config)
         for t in (0.01, 0.195, 0.25, 5.0, 50.0):
             reference = la.expm(sup.matrix * (t / HBAR_UEV_NS))
-            diff = np.abs(propagator_expm(sup, t).matrix - reference).max()
+            diff = np.abs(dynamics._propagator(sup.matrix, t) - reference).max()
             assert diff < 1e-9, (config.name, t, diff)
-        assert np.array_equal(propagator_expm(sup, 0.0).matrix, np.eye(sup.matrix.shape[0]))
+        assert np.array_equal(dynamics._propagator(sup.matrix, 0.0), np.eye(sup.matrix.shape[0]))
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3a_full9", "fig4a", "full16"])
+def test_real_frame_propagator_matches_the_complex_one(name):
+    config = full16_config() if name == "full16" else scenario_presets()[name]
+    sup = build_liouvillian(config)
+    frame = dense_frame(sup.dim)
+    for t_ns in (0.195, 5.0):
+        mapped = frame.conj().T @ dynamics._propagator(sup.real_matrix, t_ns) @ frame
+        for reference in (
+            dynamics._propagator(sup.matrix, t_ns),
+            la.expm(sup.matrix * (t_ns / HBAR_UEV_NS)),
+        ):
+            diff = np.abs(mapped - reference).max()
+            assert diff < 1e-10 * np.abs(reference).max(), (name, t_ns, diff)
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3a_full9", "fig4a"])
+def test_propagator_ladder_levels_are_bitwise_propagators(name):
+    sup = build_liouvillian(scenario_presets()[name])
+    for gen in (sup.matrix, sup.real_matrix):
+        for t_ns in (0.107, 0.78125, 7.8125):
+            ladder = dynamics._propagators(gen, t_ns)
+            assert len(ladder) > 1
+            for i, level in enumerate(reversed(ladder)):
+                assert np.array_equal(level, dynamics._propagator(gen, t_ns / 2**i)), (t_ns, i)
 
 
 def test_propagator_rejects_non_finite_generator(basis6, liouv6):
     gen = liouv6.matrix.copy()
     gen[0, 0] = np.nan
     with pytest.raises(DomainError, match="non-finite"):
-        propagator_expm(Superoperator(basis6, gen), 1.0)
+        dynamics._propagator(gen, 1.0)
 
 
 def test_propagator_preserves_hermiticity(liouv6):
-    p = propagator_expm(liouv6, 2.0)
+    p = Superoperator(liouv6.basis, dynamics._propagator(liouv6.matrix, 2.0))
     for seed in range(5):
         rho = random_density(6, 300 + seed)
-        out = p.apply(rho)
+        out = apply(p, rho)
         assert np.abs(out - out.conj().T).max() < 1e-10
 
 
@@ -208,34 +242,33 @@ def test_characteristic_time_zero_at_steady_state(liouv6):
     assert characteristic_time(liouv6, ss, epsilon=0.01) == 0.0
 
 
-def test_characteristic_time_computes_two_expm(liouv6, paper_mixture, monkeypatch):
+def test_characteristic_time_reuses_the_march_pade(liouv6, paper_mixture, monkeypatch):
     calls = []
-    propagator = dynamics._propagator
+    propagators = dynamics._propagators
 
-    def counting_propagator(gen, t_ns):
-        calls.append(t_ns)
-        return propagator(gen, t_ns)
+    def counting_propagators(gen, t_ns):
+        ladder = propagators(gen, t_ns)
+        calls.append((t_ns, len(ladder) - 1))
+        return ladder
 
-    monkeypatch.setattr(dynamics, "_propagator", counting_propagator)
+    monkeypatch.setattr(dynamics, "_propagators", counting_propagators)
     steady = steady_state(liouv6)
 
     def dist(t_ns):
-        rho = propagator_expm(liouv6, t_ns).apply(paper_mixture.matrix)
+        rho = apply(propagator_expm(liouv6, t_ns), paper_mixture.matrix)
         return trace_distance(DensityMatrix(liouv6.basis, rho), steady)
 
-    depths = []
-    for t_max in (None, 200.0):
+    # bisection depths 1 and 4 stay within the march step's 2 and 5 squarings,
+    # which supply every half step; a crossing in the first coarse step
+    # bisects to depth 17, below the 8 squarings of a 7.8 ns step
+    for t_max, want in ((None, [2]), (200.0, [5]), (2000.0, [8, 0])):
         calls.clear()
         t0 = characteristic_time(liouv6, paper_mixture, epsilon=0.1, t_max_ns=t_max)
-        # the march step, then the finest bisection width dt / 2^depth
-        assert len(calls) == 2
-        depth = np.log2(calls[0] / calls[1])
-        assert depth == round(depth) >= 1
-        depths.append(depth)
+        assert [squarings for _, squarings in calls] == want
+        if len(calls) == 2:
+            assert calls[0][0] / calls[1][0] == 2**17
         # t0 is the crossing to 1%
         assert dist(0.99 * t0) > 0.1 >= dist(t0)
-    # the 200 ns march crosses early, so its bisection squares its way up
-    assert depths == [1, 4]
 
 
 def test_characteristic_time_paper_scale(liouv6, paper_mixture):
@@ -262,18 +295,21 @@ def test_characteristic_time_timeout(liouv6, paper_mixture):
 
 
 def serial_characteristic_time(L, rho0, epsilon, t_max_ns):
-    """The step-by-step march, one distance per step, then the bisection.
+    """The step-by-step march, one distance per step, then the bisection on
+    half steps squared from one Padé at the finest width, in the real frame
+    that `characteristic_time` marches in.
 
     Returns (t_hi, k_hit), or None when no step comes within epsilon.
     """
     target = steady_state(L).matrix
+    gen = L.real_matrix
     dt = t_max_ns / dynamics._COARSE_STEPS
-    step = dynamics._propagator(L.matrix, dt)
+    step = dynamics._propagator(gen, dt)
 
     def dist(v):
-        return trace_distance_matrices(unvectorize(v, rho0.dim), target)
+        return trace_distance_matrices(unvectorize_real(v, rho0.dim), target)
 
-    v = vectorize(rho0.matrix)
+    v = vectorize_real(rho0.matrix)
     for k in range(1, dynamics._COARSE_STEPS + 1):
         v_next = step @ v
         if dist(v_next) <= epsilon:
@@ -288,7 +324,7 @@ def serial_characteristic_time(L, rho0, epsilon, t_max_ns):
     t_lo, t_hi, width, depth = (k - 1) * dt, k * dt, dt, 0
     while not resolved(dt / 2**depth, t_lo):
         depth += 1
-    halves = [dynamics._propagator(L.matrix, dt / 2**depth)] if depth else []
+    halves = [dynamics._propagator(gen, dt / 2**depth)] if depth else []
     while len(halves) < depth:
         halves.insert(0, halves[0] @ halves[0])
     for prop in halves:
@@ -309,7 +345,7 @@ def test_blocked_march_matches_serial_march(liouv6, paper_mixture, k):
     steady = steady_state(liouv6)
 
     def dist(t):
-        rho = propagator_expm(liouv6, t).apply(paper_mixture.matrix)
+        rho = apply(propagator_expm(liouv6, t), paper_mixture.matrix)
         return trace_distance(DensityMatrix(liouv6.basis, rho), steady)
 
     lo, hi = 1.0, 20.0  # the crossing, resolved far below one coarse step
@@ -344,7 +380,7 @@ def test_evolve_eigensolver_calls_do_not_grow_with_the_grid(monkeypatch):
 
         return counted
 
-    for name in ("eigvalsh", "eigvals"):
+    for name in ("eigvalsh", "eigvals", "eigh", "svd"):
         monkeypatch.setattr(np.linalg, name, counting(name))
     counts = []
     for grid in (cfg.times_ns(), np.linspace(0.0, cfg.times_ns()[-1], 801)):
@@ -352,8 +388,8 @@ def test_evolve_eigensolver_calls_do_not_grow_with_the_grid(monkeypatch):
         evolve(rho0, liouv, grid)
         counts.append(len(calls))
     assert len(cfg.times_ns()) == 201
-    # one batched validation and one batched concurrence per run
-    assert counts == [2, 2]
+    # one batched validation, and one batched eigh and svd for the concurrence
+    assert counts == [3, 3]
 
 
 def test_initial_state_independence(liouv6, basis6):

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from qdm.basis import effective6, full9, state_vector
-from qdm.entanglement import (
-    TWO_QUBIT_BASIS,
-    concurrence,
-    qubit_concurrence,
-    qubit_concurrences,
-)
+from conftest import TWO_QUBIT_BASIS, concurrence
+from qdm.entanglement import qubit_concurrence, qubit_concurrences
 from qdm.errors import EmptySubspaceError
 from qdm.operators import DensityMatrix, physical_states
 from qdm.scenarios import scenario_presets, sweep_temperature

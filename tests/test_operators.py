@@ -2,20 +2,22 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from conftest import random_density
+from conftest import apply, dense_frame, full16_config, lindblad_term, random_density, trace_distance
 from qdm.basis import effective6
-from qdm.errors import BasisMismatchError, PositivityError
+from qdm.dynamics import evolve
+from qdm.errors import BasisMismatchError, DomainError, PositivityError
 from qdm.operators import (
     DensityMatrix,
     OperatorMatrix,
     Superoperator,
-    lindblad_term,
     physical_states,
-    trace_distance,
     trace_distance_matrices,
     unvectorize,
+    unvectorize_real,
     vectorize,
+    vectorize_real,
 )
+from qdm.scenarios import build_liouvillian, scenario_presets
 
 
 def test_vectorize_roundtrip():
@@ -57,7 +59,7 @@ def test_superoperator_apply_matches_matrix(basis6):
     sup = Superoperator(basis6, rng.standard_normal((36, 36)))
     rho = random_density(6, 11)
     np.testing.assert_allclose(
-        vectorize(sup.apply(rho)), sup.matrix @ vectorize(rho), atol=1e-12
+        vectorize(apply(sup, rho)), sup.matrix @ vectorize(rho), atol=1e-12
     )
 
 
@@ -71,7 +73,7 @@ def test_lindblad_term_against_direct_arithmetic(basis6):
         direct = lm @ rho @ lm.conj().T - 0.5 * (
             lm.conj().T @ lm @ rho + rho @ lm.conj().T @ lm
         )
-        np.testing.assert_allclose(sup.apply(rho), direct, atol=1e-12)
+        np.testing.assert_allclose(apply(sup, rho), direct, atol=1e-12)
 
 
 def test_trace_distance_extremes(basis6):
@@ -163,3 +165,48 @@ def test_wrappers_copy_the_callers_array(basis6):
     for w, want in zip(wrapped, before):
         np.testing.assert_array_equal(w.matrix, want)
         assert not w.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("dim", [4, 6, 9])
+def test_real_coordinates_round_trip(dim):
+    stack = np.array([random_density(dim, seed) for seed in range(5)])
+    stack[1] -= np.eye(dim) / dim  # Hermitian but not a state
+    x = vectorize_real(stack)
+    assert x.dtype == float and x.shape == (5, dim * dim)
+    frame = dense_frame(dim)
+    for row, m in zip(x, stack):
+        np.testing.assert_allclose(row, (frame @ vectorize(m)).real, atol=1e-15)
+        assert abs(row[:dim].sum() - m.trace().real) < 1e-15
+    back = unvectorize_real(x, dim)
+    np.testing.assert_allclose(back, stack, atol=1e-15)
+    assert np.array_equal(back, back.conj().swapaxes(1, 2))
+    # a single matrix is the stack's row
+    np.testing.assert_array_equal(vectorize_real(stack[3]), x[3])
+    np.testing.assert_array_equal(unvectorize_real(x[3], dim), back[3])
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3a_full9", "fig4a", "full16"])
+def test_real_generator_is_the_dense_frame_product(name):
+    config = full16_config() if name == "full16" else scenario_presets()[name]
+    sup = build_liouvillian(config)
+    frame = dense_frame(sup.dim)
+    want = frame @ sup.matrix @ frame.conj().T
+    scale = np.abs(sup.matrix).max()
+    assert np.abs(want.imag).max() < 1e-15 * scale
+    gen = sup.real_matrix
+    assert gen.dtype == float and not gen.flags.writeable
+    np.testing.assert_allclose(gen, want.real, rtol=0, atol=1e-15 * scale)
+    assert sup.real_matrix is gen  # computed once per generator
+
+
+def test_real_generator_rejects_a_non_hermitian_hamiltonian(basis6, liouv6, paper_mixture):
+    # rho -> -i [H, rho] with H not Hermitian maps Hermitian rho off the
+    # Hermitian matrices (assembly's H_eff rho - rho H_eff^dag never does)
+    dh = np.zeros((6, 6), dtype=complex)
+    dh[0, 1] = 1.0
+    ident = np.eye(6)
+    sup = Superoperator(basis6, liouv6.matrix - 1j * (np.kron(ident, dh) - np.kron(dh.T, ident)))
+    with pytest.raises(DomainError, match="Hermiticity"):
+        sup.real_matrix
+    with pytest.raises(DomainError, match="Hermiticity"):
+        evolve(paper_mixture, sup, np.linspace(0.0, 1.0, 3))
