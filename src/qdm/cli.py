@@ -200,7 +200,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result = sweep_T0(
             config,
             omega_grid=[omega],
-            omega_m_grid=list(np.linspace(0.1 * omega, omega, 15)),
+            omega_m_grid=np.linspace(0.1 * omega, omega, 15).tolist(),
             gamma_grid=[config.drive.gamma0],
         )
         summary: dict = {

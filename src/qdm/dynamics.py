@@ -33,6 +33,9 @@ DEFAULT_T_MAX_NS = 50.0 * HBAR_UEV_NS / 1.2
 
 _COARSE_STEPS = 256
 _MARCH_BLOCK = 16  # coarse steps per batched distance evaluation
+#: Relative slack on the norm screen of `_within`, for rounding and the
+#: ~1e-14 trace drift of propagated states.
+_SCREEN_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -169,6 +172,26 @@ def steady_state(L: Superoperator) -> DensityMatrix:
     return DensityMatrix(L.basis, unvectorize_real(x, dim))
 
 
+def _within(rows: np.ndarray, x_ss: np.ndarray, target: np.ndarray, epsilon: float) -> np.ndarray:
+    """Whether each real-frame row of the (n, d^2) `rows` is within trace
+    distance `epsilon` of the steady state `target`, whose coordinates are `x_ss`.
+
+    A norm screen decides most rows without the eigensolver. The frame is
+    unitary, so ||x - x_ss||_2 is the Frobenius norm of the traceless
+    Hermitian difference, and a traceless Hermitian matrix has ||.||_F^2 <=
+    2 D^2 (its positive and its negative eigenvalues each sum to D). A row
+    with ||x - x_ss||_2 > sqrt(2) epsilon (1 + _SCREEN_SLACK) is thus out;
+    the rest go through `trace_distance_matrices`, so every answer is the
+    one the eigensolver alone would give.
+    """
+    near = np.linalg.norm(rows - x_ss, axis=-1) <= math.sqrt(2.0) * epsilon * (1.0 + _SCREEN_SLACK)
+    left = np.flatnonzero(near)
+    if left.size:
+        dist = trace_distance_matrices(unvectorize_real(rows[left], target.shape[-1]), target)
+        near[left] = dist <= epsilon
+    return near
+
+
 def characteristic_time(
     L: Superoperator,
     rho0: DensityMatrix,
@@ -179,8 +202,8 @@ def characteristic_time(
     """First time (ns) the state comes within `epsilon` of the steady state.
 
     Marches in the real frame over [0, t_max] in _COARSE_STEPS steps of one
-    propagator, with one batched distance call per _MARCH_BLOCK steps, to the
-    first step within `epsilon`. Then bisects that step to 1% relative
+    propagator, with one batched `_within` check per _MARCH_BLOCK steps, to
+    the first step within `epsilon`. Then bisects that step to 1% relative
     precision on the half steps that the march step's Padé squared up through;
     only a deeper bisection (a crossing in the first step) runs a second Padé.
     Distance is trace distance to `steady`, or to the steady state of L.
@@ -190,8 +213,11 @@ def characteristic_time(
     if t_max_ns is None:
         t_max_ns = DEFAULT_T_MAX_NS
     rho_ss = steady if steady is not None else steady_state(L)
+    if rho0.basis.labels != L.basis.labels or rho_ss.basis.labels != L.basis.labels:
+        raise DomainError("initial state, steady state and generator bases differ")
     target = rho_ss.matrix
-    if trace_distance_matrices(rho0.matrix, target) <= epsilon:
+    x_ss, x0 = vectorize_real(target), vectorize_real(rho0.matrix)
+    if _within(x0[None], x_ss, target, epsilon)[0]:
         return 0.0
 
     dt_ns = t_max_ns / _COARSE_STEPS
@@ -200,12 +226,11 @@ def characteristic_time(
 
     # row i of `block` holds the coordinates of rho k0 + i steps in
     block = np.empty((_MARCH_BLOCK + 1, dim * dim))
-    block[0] = vectorize_real(rho0.matrix)
+    block[0] = x0
     for k0 in range(0, _COARSE_STEPS, _MARCH_BLOCK):
         for i in range(1, _MARCH_BLOCK + 1):
             np.matmul(ladder[-1], block[i - 1], out=block[i])
-        dist = trace_distance_matrices(unvectorize_real(block[1:], dim), target)
-        hits = np.flatnonzero(dist <= epsilon)
+        hits = np.flatnonzero(_within(block[1:], x_ss, target, epsilon))
         if hits.size:
             k_hit, v = k0 + int(hits[0]) + 1, block[hits[0]]
             break
@@ -234,7 +259,7 @@ def characteristic_time(
         width /= 2.0
         v_mid = prop @ v_lo
         t_mid = t_lo + width
-        if trace_distance_matrices(unvectorize_real(v_mid, dim), target) <= epsilon:
+        if _within(v_mid[None], x_ss, target, epsilon)[0]:
             t_hi = t_mid
         else:
             t_lo, v_lo = t_mid, v_mid

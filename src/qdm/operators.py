@@ -133,20 +133,6 @@ class Superoperator:
         return g
 
 
-def vectorize(rho: np.ndarray) -> np.ndarray:
-    return np.asarray(rho, dtype=complex).flatten(order="F")
-
-
-def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of `vectorize` on the last axis, broadcast over leading ones.
-
-    A vec(rho) row reshaped in C order is rho transposed, so the result is a
-    transposed view of `v` wherever its layout allows.
-    """
-    v = np.asarray(v, dtype=complex)
-    return v.reshape(*v.shape[:-1], dim, dim).swapaxes(-1, -2)
-
-
 @cache
 def _pairs(dim: int) -> tuple[np.ndarray, ...]:
     """Read-only (i, j), i < j in `np.triu_indices` order: the off-diagonal coordinates."""

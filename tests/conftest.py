@@ -10,13 +10,7 @@ from qdm.dissipators import assemble_liouvillian, spontaneous_collapse_ops
 from qdm.entanglement import TWO_QUBIT_LABELS, _wootters
 from qdm.errors import BasisMismatchError
 from qdm.hamiltonians import build_effective_hamiltonian
-from qdm.operators import (
-    DensityMatrix,
-    Superoperator,
-    trace_distance_matrices,
-    unvectorize,
-    vectorize,
-)
+from qdm.operators import DensityMatrix, Superoperator, trace_distance_matrices
 from qdm.params import HBAR_UEV_NS, DriveParams
 from qdm.scenarios import scenario_presets
 
@@ -67,6 +61,18 @@ def random_density(dim, seed):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / rho.trace()
+
+
+def vectorize(rho):
+    """vec(rho), the column stacking of the `operators` convention."""
+    return np.asarray(rho, dtype=complex).flatten(order="F")
+
+
+def unvectorize(v, dim):
+    """Inverse of `vectorize` on the last axis, broadcast over leading ones
+    (a transposed view of `v` wherever its layout allows)."""
+    v = np.asarray(v, dtype=complex)
+    return v.reshape(*v.shape[:-1], dim, dim).swapaxes(-1, -2)
 
 
 def trace_preservation_defect(sup):

@@ -28,7 +28,7 @@ from qdm.dynamics import (
 )
 from qdm.entanglement import qubit_concurrence
 from qdm.hamiltonians import build_effective_hamiltonian
-from qdm.operators import DensityMatrix, vectorize
+from qdm.operators import DensityMatrix
 from qdm.params import DriveParams, HBAR_UEV_NS, MaterialParams
 from qdm.physics import forster_coupling, wkb_tunneling_rate
 from qdm.params import DotGeometry
@@ -49,6 +49,7 @@ from conftest import (
     propagator_expm,
     random_density,
     trace_distance,
+    vectorize,
 )
 
 

@@ -120,6 +120,21 @@ def test_sweep_fig3b(tmp_path):
     assert manifest["summary"]["rows"] == 15
 
 
+@pytest.mark.parametrize("preset", ["fig3b", "fig4b"])
+def test_sweep_csv_numeric_cells_parse_as_floats(tmp_path, preset):
+    out = tmp_path / preset
+    assert main(["sweep", "--preset", preset, "--out", str(out)]) == EXIT_OK
+    with (out / "sweep.csv").open() as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[-1] == "error"
+    for row in rows:
+        for name, cell in zip(header[:-1], row[:-1]):
+            try:
+                float(cell)
+            except ValueError:
+                pytest.fail(f"{preset} {name} cell {cell!r} is not a number")
+
+
 def test_seed_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("QDM_SEED", "1234")
     cfg = {"model": "effective6", "initial_state": "random", "t_grid": [0.0, 5.0, 3], "epsilon_T0": 0.1}

@@ -1,0 +1,30 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_exist():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    """Each demo runs to exit code 0 against src/ and leaves no file behind."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout
+    assert not any(tmp_path.iterdir())

@@ -11,6 +11,7 @@ from conftest import (
     lindblad_term,
     random_density,
     trace_preservation_defect,
+    vectorize,
 )
 from qdm import scenarios
 from qdm.basis import effective6, effective8, full9, state_vector
@@ -23,7 +24,7 @@ from qdm.dissipators import (
 )
 from qdm.errors import BasisMismatchError
 from qdm.hamiltonians import build_effective_hamiltonian
-from qdm.operators import OperatorMatrix, vectorize
+from qdm.operators import OperatorMatrix
 from qdm.params import DotGeometry, DriveParams, K_B_UEV_PER_K, MaterialParams
 
 

@@ -16,8 +16,10 @@ from conftest import (
     propagator_expm,
     random_density,
     trace_distance,
+    unvectorize,
+    vectorize,
 )
-from qdm import dynamics
+from qdm import dynamics, scenarios
 from qdm.basis import BasisKind, state_vector
 from qdm.dynamics import (
     adiabatic_validity,
@@ -37,9 +39,7 @@ from qdm.operators import (
     DensityMatrix,
     Superoperator,
     trace_distance_matrices,
-    unvectorize,
     unvectorize_real,
-    vectorize,
     vectorize_real,
 )
 from qdm.params import HBAR_UEV_NS, DriveParams
@@ -363,6 +363,86 @@ def test_blocked_march_times_out_where_serial_march_does(liouv6, paper_mixture):
     assert serial_characteristic_time(liouv6, paper_mixture, 0.1, 2.0) is None
     with pytest.raises(ConvergenceTimeoutError):
         characteristic_time(liouv6, paper_mixture, epsilon=0.1, t_max_ns=2.0)
+
+
+def test_trace_distance_bounds_the_real_frame_norm():
+    # the screen of `_within`: D >= ||x - y|| / sqrt(2) for a traceless
+    # Hermitian difference, with equality on rank-2 differences
+    rng = np.random.default_rng(7)
+    for dim in (2, 4, 6, 9, 16):
+        for seed in range(20):
+            m1, m2 = random_density(dim, 1000 * dim + seed), random_density(dim, 2000 * dim + seed)
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            h = g + g.conj().T
+            h -= np.trace(h) / dim * np.eye(dim)
+            for a, b in ((m1, m2), (h, np.zeros((dim, dim)))):
+                norm = np.linalg.norm(vectorize_real(a) - vectorize_real(b))
+                assert trace_distance_matrices(a, b) >= norm / np.sqrt(2) * (1 - 1e-12)
+            # a (|u><u| - |v><v|) with u, v orthonormal
+            q, _ = np.linalg.qr(g)
+            u, v = q[:, 0], q[:, 1]
+            delta = rng.uniform(0.01, 1.0) * (np.outer(u, u.conj()) - np.outer(v, v.conj()))
+            norm = np.linalg.norm(vectorize_real(delta))
+            d = trace_distance_matrices(delta, np.zeros((dim, dim)))
+            assert abs(d - norm / np.sqrt(2)) <= 1e-12 * d
+
+
+def _t0_config(name):
+    """A preset, the full16 point, or fig3b at the i-th of its 15 omega_m points."""
+    if name == "full16":
+        return full16_config()
+    presets = scenario_presets()
+    if name in presets:
+        return presets[name]
+    fig3b = presets["fig3b"]
+    omega = fig3b.drive.omega
+    omega_m = np.linspace(0.1 * omega, omega, 15).tolist()[int(name.rsplit("_", 1)[1])]
+    return replace(fig3b, drive=replace(fig3b.drive, omega_m=omega_m))
+
+
+@pytest.mark.parametrize(
+    "name", ["fig3a_full9", "fig4a", "full16"] + [f"fig3b_omega_m_{i}" for i in range(15)]
+)
+def test_screened_t0_equals_the_serial_eigensolver_march(name):
+    config = _t0_config(name)
+    liouv = build_liouvillian(config)
+    rho0 = initial_state(config, liouv.basis)
+    eps, t_max = config.epsilon_T0, scenarios._t0_ceiling_ns(config)
+    want = serial_characteristic_time(liouv, rho0, eps, t_max)
+    if want is None:
+        with pytest.raises(ConvergenceTimeoutError):
+            characteristic_time(liouv, rho0, eps, t_max)
+    else:
+        assert characteristic_time(liouv, rho0, eps, t_max) == want[0]
+
+
+def test_screen_keeps_a_timed_out_march_off_the_eigensolver(monkeypatch):
+    rows = []
+    distance = dynamics.trace_distance_matrices
+
+    def counting(m1, m2):
+        rows.append(m1.shape[0])
+        return distance(m1, m2)
+
+    monkeypatch.setattr(dynamics, "trace_distance_matrices", counting)
+    config = _t0_config("fig3b_omega_m_0")  # omega_m = 0.1 omega
+    liouv = build_liouvillian(config)
+    rho0 = initial_state(config, liouv.basis)
+    with pytest.raises(ConvergenceTimeoutError):
+        characteristic_time(liouv, rho0, config.epsilon_T0, scenarios._t0_ceiling_ns(config))
+    assert sum(rows) == 0
+
+
+def test_characteristic_time_rejects_states_on_another_basis():
+    presets = scenario_presets()
+    liouv = build_liouvillian(presets["fig3a"])
+    full9 = build_liouvillian(presets["fig3a_full9"])
+    rho9 = initial_state(presets["fig3a_full9"], full9.basis)
+    with pytest.raises(DomainError, match="bases differ"):
+        characteristic_time(liouv, rho9)
+    rho6 = initial_state(presets["fig3a"], liouv.basis)
+    with pytest.raises(DomainError, match="bases differ"):
+        characteristic_time(liouv, rho6, steady=steady_state(full9))
 
 
 def test_evolve_eigensolver_calls_do_not_grow_with_the_grid(monkeypatch):

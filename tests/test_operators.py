@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from conftest import apply, dense_frame, full16_config, lindblad_term, random_density, trace_distance
+from conftest import (
+    apply,
+    dense_frame,
+    full16_config,
+    lindblad_term,
+    random_density,
+    trace_distance,
+    unvectorize,
+    vectorize,
+)
 from qdm.basis import effective6
 from qdm.dynamics import evolve
 from qdm.errors import BasisMismatchError, DomainError, PositivityError
@@ -12,9 +21,7 @@ from qdm.operators import (
     Superoperator,
     physical_states,
     trace_distance_matrices,
-    unvectorize,
     unvectorize_real,
-    vectorize,
     vectorize_real,
 )
 from qdm.scenarios import build_liouvillian, scenario_presets

@@ -4,12 +4,11 @@ import numpy as np
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import trace_preservation_defect
+from conftest import trace_preservation_defect, vectorize
 from qdm.basis import state_vector
 from qdm.dynamics import evolve, steady_state
 from qdm.entanglement import qubit_concurrence
 from qdm.errors import ConfigError, DegenerateSteadyStateError
-from qdm.operators import vectorize
 from qdm.params import CouplingParams, DriveParams
 from qdm.scenarios import ScenarioConfig, build_liouvillian, initial_state
 
