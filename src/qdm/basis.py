@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -89,29 +90,26 @@ def _product_label_vector(basis: ModelBasis, label: str) -> np.ndarray:
     return v
 
 
+@cache
 def state_vector(basis: ModelBasis, label: str) -> np.ndarray:
-    """Unit vector of a named state in `basis`.
+    """Unit vector of a named state in `basis`, read-only.
 
     Accepts the basis' own labels plus, where resolvable, symmetric /
     antisymmetric combinations (``S01``, ``A1s``, ...) and two-qubit product
     labels (``01``, ``10``) on the effective bases.
     """
+    product_kind = basis.kind in (BasisKind.FULL9, BasisKind.FULL16)
     if label in basis.labels:
-        return _product_label_vector(basis, label)
-
-    if basis.kind in (BasisKind.FULL9, BasisKind.FULL16):
-        if len(label) == 3 and label[0] in ("S", "A"):
-            i, j = label[1], label[2]
-            vij = _product_label_vector(basis, i + j)
-            vji = _product_label_vector(basis, j + i)
-            if label[0] == "S":
-                return (vij + vji) / np.sqrt(2)
-            return (vji - vij) / np.sqrt(2)
-    elif basis.kind in (BasisKind.EFFECTIVE6, BasisKind.EFFECTIVE8):
-        if label == "01":
-            return (state_vector(basis, "S01") - state_vector(basis, "A01")) / np.sqrt(2)
-        if label == "10":
-            return (state_vector(basis, "S01") + state_vector(basis, "A01")) / np.sqrt(2)
-
-    raise BasisMismatchError(f"state {label!r} is not resolvable on basis {basis.kind.value}")
-
+        v = _product_label_vector(basis, label)
+    elif product_kind and len(label) == 3 and label[0] in ("S", "A"):
+        i, j = label[1], label[2]
+        vij = _product_label_vector(basis, i + j)
+        vji = _product_label_vector(basis, j + i)
+        v = (vij + vji) / np.sqrt(2) if label[0] == "S" else (vji - vij) / np.sqrt(2)
+    elif not product_kind and label in ("01", "10"):
+        s01, a01 = state_vector(basis, "S01"), state_vector(basis, "A01")
+        v = (s01 - a01) / np.sqrt(2) if label == "01" else (s01 + a01) / np.sqrt(2)
+    else:
+        raise BasisMismatchError(f"state {label!r} is not resolvable on basis {basis.kind.value}")
+    v.setflags(write=False)
+    return v

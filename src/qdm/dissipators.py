@@ -132,34 +132,32 @@ def _eigen_clusters(energies: np.ndarray) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def phonon_eigenoperators(H: OperatorMatrix) -> list[tuple[float, np.ndarray, np.ndarray]]:
+def phonon_eigenoperators(H: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Secular eigenoperator channels of `H` through the trion occupations.
 
     For every pair of eigenvalue clusters (a, b) with Bohr frequency
-    ``omega = E_b - E_a`` above the cutoff, returns the downward operators
-    ``P = Pi_a O Pi_b`` for the symmetric and antisymmetric occupation
-    couplings. Channels where both projections vanish are dropped.
+    ``omega = E_b - E_a`` above the cutoff, in row-major (a, b) order, the
+    downward operators ``P = Pi_a O Pi_b`` for the symmetric and
+    antisymmetric occupation couplings. Channels where both projections
+    vanish are dropped. Returns the stacks `omega` (k,), `p_sym` and
+    `p_asym` (k, d, d).
     """
     if not H.is_hermitian(tol=1e-9):
         raise BasisMismatchError("phonon channels require a Hermitian Hamiltonian")
     o_sym, o_asym = _occupation_operators(H.basis)
     energies, vecs = np.linalg.eigh(H.matrix)
     clusters = _eigen_clusters(energies)
-    projectors = [vecs[:, c] @ vecs[:, c].conj().T for c in clusters]
-    mean_e = [float(energies[c].mean()) for c in clusters]
+    projectors = np.array([vecs[:, c] @ vecs[:, c].conj().T for c in clusters])
+    mean_e = np.array([energies[c].mean() for c in clusters])
 
-    channels = []
-    for ia, pa in enumerate(projectors):
-        for ib, pb in enumerate(projectors):
-            omega = mean_e[ib] - mean_e[ia]
-            if omega <= OMEGA_CUTOFF:
-                continue
-            p_sym = pa @ o_sym @ pb
-            p_asym = pa @ o_asym @ pb
-            if max(np.abs(p_sym).max(), np.abs(p_asym).max()) < _ZERO_OP_TOL:
-                continue
-            channels.append((omega, p_sym, p_asym))
-    return channels
+    omega = mean_e[None, :] - mean_e[:, None]
+    ia, ib = np.nonzero(omega > OMEGA_CUTOFF)
+    p_sym = projectors[ia] @ o_sym @ projectors[ib]
+    p_asym = projectors[ia] @ o_asym @ projectors[ib]
+    size = np.maximum(np.abs(p_sym).max(axis=(1, 2), initial=0.0),
+                      np.abs(p_asym).max(axis=(1, 2), initial=0.0))
+    keep = size >= _ZERO_OP_TOL
+    return omega[ia, ib][keep], p_sym[keep], p_asym[keep]
 
 
 def phonon_dissipator(
@@ -179,7 +177,8 @@ def phonon_dissipator(
         raise ValueError("temperature must be nonnegative")
     ops: list[np.ndarray] = []
     labels: list[str] = []
-    for omega, p_sym, p_asym in phonon_eigenoperators(H):
+    omegas, p_syms, p_asyms = phonon_eigenoperators(H)
+    for omega, p_sym, p_asym in zip(omegas.tolist(), p_syms, p_asyms):
         occ = bose_occupation(omega, temperature) if temperature > 0 else 0.0
         for parity, p in (("plus", p_sym), ("minus", p_asym)):
             if np.abs(p).max() < _ZERO_OP_TOL:
@@ -202,7 +201,10 @@ def assemble_liouvillian(H: OperatorMatrix, collapse: CollapseSet) -> Superopera
     ``L = sum_k conj(L_k) (x) L_k - i (I (x) H_eff - conj(H_eff) (x) I)`` on
     vec(rho), with ``H_eff = H - (i/2) sum_k L_k^dag L_k``. The jump sum is one
     ``(d^2, n) @ (n, d^2)`` product of the flattened operators, reordered from
-    ``[(i, k), (j, l)]`` to Kronecker order ``[(i, j), (k, l)]``.
+    ``[(i, k), (j, l)]`` to Kronecker order ``[(i, j), (k, l)]``; the two
+    Kronecker products with the identity are written into that order directly,
+    ``H_eff[j, l]`` at ``[(i, j), (i, l)]`` and ``conj(H_eff)[i, k]`` at
+    ``[(i, j), (k, j)]``.
     """
     if collapse.basis.labels != H.basis.labels:
         raise BasisMismatchError("collapse operators must share the Hamiltonian basis")
@@ -210,6 +212,9 @@ def assemble_liouvillian(H: OperatorMatrix, collapse: CollapseSet) -> Superopera
     flat = collapse.ops.reshape(-1, d * d)
     jumps = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     h_eff = H.matrix - 0.5j * collapse.total_decay()
-    ident = np.eye(d)
-    sup = jumps - 1j * (np.kron(ident, h_eff) - np.kron(h_eff.conj(), ident))
+    diag = np.arange(d)
+    coherent = np.zeros((d, d, d, d), dtype=complex)
+    coherent[diag, :, diag, :] = h_eff
+    coherent[:, diag, :, diag] -= h_eff.conj()
+    sup = jumps - 1j * coherent.reshape(d * d, d * d)
     return Superoperator(H.basis, sup)

@@ -123,6 +123,8 @@ def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Traj
     tolerance surfaces as an error, not as corrupt data.
     """
     t_grid_ns = np.array(t_grid_ns, dtype=float)
+    if t_grid_ns.ndim != 1 or not t_grid_ns.size:
+        raise DomainError(f"t_grid must be a nonempty 1-D grid, got shape {t_grid_ns.shape}")
     if t_grid_ns[0] != 0.0 or np.any(np.diff(t_grid_ns) <= 0):
         raise DomainError("t_grid must ascend from 0")
     if rho0.basis.labels != L.basis.labels:
@@ -130,14 +132,18 @@ def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Traj
 
     same_step = 16 * np.spacing(t_grid_ns[-1])
     props: dict[float, np.ndarray] = {}
+    step_prop: dict[float, np.ndarray] = {}  # each step value's first match in `props`
     dim = rho0.dim
     vecs = np.empty((len(t_grid_ns), dim * dim))
     vecs[0] = vectorize_real(rho0.matrix)
-    for i, dt in enumerate(np.diff(t_grid_ns), start=1):
-        key = next((s for s in props if abs(s - dt) <= same_step), dt)
-        if key not in props:
-            props[key] = _propagator(L.real_matrix, dt)
-        np.matmul(props[key], vecs[i - 1], out=vecs[i])
+    for i, dt in enumerate(np.diff(t_grid_ns).tolist(), start=1):
+        prop = step_prop.get(dt)
+        if prop is None:
+            key = next((s for s in props if abs(s - dt) <= same_step), dt)
+            if key not in props:
+                props[key] = _propagator(L.real_matrix, dt)
+            prop = step_prop[dt] = props[key]
+        np.matmul(prop, vecs[i - 1], out=vecs[i])
     stack = physical_states(unvectorize_real(vecs, dim))
     conc, leak = qubit_concurrences(rho0.basis, stack)
     pops = {lab: stack[:, j, j].real for j, lab in enumerate(rho0.basis.labels)}
@@ -212,6 +218,8 @@ def characteristic_time(
         raise DomainError("epsilon must lie in (0, 1)")
     if t_max_ns is None:
         t_max_ns = DEFAULT_T_MAX_NS
+    if not (math.isfinite(t_max_ns) and t_max_ns > 0.0):
+        raise DomainError(f"t_max_ns must be positive and finite, got {t_max_ns}")
     rho_ss = steady if steady is not None else steady_state(L)
     if rho0.basis.labels != L.basis.labels or rho_ss.basis.labels != L.basis.labels:
         raise DomainError("initial state, steady state and generator bases differ")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -33,8 +34,9 @@ def ketbra(basis: ModelBasis, a: str, b: str) -> np.ndarray:
     return np.outer(state_vector(basis, a), state_vector(basis, b).conj())
 
 
+@cache
 def dot_operator_pair(kind: BasisKind, a: str, b: str) -> tuple[np.ndarray, np.ndarray]:
-    """``|a><b|`` acting on dot 1 and on dot 2 of the product basis."""
+    """``|a><b|`` acting on dot 1 and on dot 2 of the product basis, read-only."""
     if kind == BasisKind.FULL9:
         levels = DOT3_LEVELS
     elif kind == BasisKind.FULL16:
@@ -45,7 +47,10 @@ def dot_operator_pair(kind: BasisKind, a: str, b: str) -> tuple[np.ndarray, np.n
     op = np.zeros((n, n), dtype=complex)
     op[levels.index(a), levels.index(b)] = 1.0
     ident = np.eye(n)
-    return np.kron(op, ident), np.kron(ident, op)
+    pair = np.kron(op, ident), np.kron(ident, op)
+    for m in pair:
+        m.setflags(write=False)
+    return pair
 
 
 def build_full_hamiltonian(

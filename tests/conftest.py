@@ -6,8 +6,15 @@ import scipy.linalg as la
 from scipy.integrate import solve_ivp
 
 from qdm.basis import BasisKind, ModelBasis, effective6
-from qdm.dissipators import assemble_liouvillian, spontaneous_collapse_ops
-from qdm.entanglement import TWO_QUBIT_LABELS, _wootters
+from qdm.dissipators import (
+    _ZERO_OP_TOL,
+    OMEGA_CUTOFF,
+    _eigen_clusters,
+    _occupation_operators,
+    assemble_liouvillian,
+    spontaneous_collapse_ops,
+)
+from qdm.entanglement import _YY, TWO_QUBIT_LABELS, _wootters
 from qdm.errors import BasisMismatchError
 from qdm.hamiltonians import build_effective_hamiltonian
 from qdm.operators import DensityMatrix, Superoperator, trace_distance_matrices
@@ -121,6 +128,49 @@ def dop853_reference(sup, rho0, t_ns):
 def concurrence(rho2):
     """Wootters concurrence of a state on TWO_QUBIT_BASIS."""
     return float(_wootters(rho2.matrix[None])[0])
+
+
+def wootters_svd(blocks):
+    """Wootters concurrence of each state of an (n, 4, 4) stack from the
+    singular values of sqrt(rho) (sy x sy) sqrt(rho)*, with the Hermitian
+    square root from `eigh`: the reference for the embedding in `_wootters`."""
+    w, v = np.linalg.eigh(blocks)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+    return np.minimum(1.0, np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]))
+
+
+def phonon_eigenoperators_loop(H):
+    """(omega, p_sym, p_asym) per phonon channel of `H`, one cluster pair at a
+    time in row-major order: the reference for the stacked `phonon_eigenoperators`."""
+    o_sym, o_asym = _occupation_operators(H.basis)
+    energies, vecs = np.linalg.eigh(H.matrix)
+    clusters = _eigen_clusters(energies)
+    projectors = [vecs[:, c] @ vecs[:, c].conj().T for c in clusters]
+    mean_e = [float(energies[c].mean()) for c in clusters]
+    channels = []
+    for ia, pa in enumerate(projectors):
+        for ib, pb in enumerate(projectors):
+            omega = mean_e[ib] - mean_e[ia]
+            if omega <= OMEGA_CUTOFF:
+                continue
+            p_sym = pa @ o_sym @ pb
+            p_asym = pa @ o_asym @ pb
+            if max(np.abs(p_sym).max(), np.abs(p_asym).max()) < _ZERO_OP_TOL:
+                continue
+            channels.append((omega, p_sym, p_asym))
+    return channels
+
+
+def liouvillian_kron(H, collapse):
+    """The generator of `assemble_liouvillian`, with its coherent part from two
+    Kronecker products: the reference for the direct assembly."""
+    d = H.dim
+    flat = collapse.ops.reshape(-1, d * d)
+    jumps = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    h_eff = H.matrix - 0.5j * collapse.total_decay()
+    ident = np.eye(d)
+    return jumps - 1j * (np.kron(ident, h_eff) - np.kron(h_eff.conj(), ident))
 
 
 def lindblad_term(L):

@@ -57,3 +57,10 @@ def test_unresolvable_label_raises():
         state_vector(effective6(), "ss")
     with pytest.raises(BasisMismatchError):
         state_vector(full9(), "nope")
+
+
+def test_state_vectors_are_cached_read_only():
+    for b, label in ((effective6(), "01"), (full9(), "A1s"), (full9(), "00")):
+        v = state_vector(b, label)
+        assert state_vector(b, label) is v
+        assert not v.flags.writeable

@@ -9,6 +9,8 @@ from conftest import (
     apply,
     full16_config,
     lindblad_term,
+    liouvillian_kron,
+    phonon_eigenoperators_loop,
     random_density,
     trace_preservation_defect,
     vectorize,
@@ -72,22 +74,22 @@ def test_collapse_set_label_mismatch(basis6):
 
 def test_eigenoperators_empty_for_zero_hamiltonian(basis6):
     h = OperatorMatrix(basis6, np.zeros((6, 6)))
-    assert phonon_eigenoperators(h) == []
+    omega, p_sym, p_asym = phonon_eigenoperators(h)
+    assert omega.shape == (0,) and p_sym.shape == p_asym.shape == (0, 6, 6)
 
 
 def test_eigenoperator_frequencies_bounded_by_drive(drive):
     h = build_effective_hamiltonian(drive)
-    channels = phonon_eigenoperators(h)
-    assert channels
+    omega, _ps, _pa = phonon_eigenoperators(h)
+    assert omega.size
     bound = 4 * max(drive.omega, drive.omega_m)
-    for omega, _ps, _pa in channels:
-        assert 0 < omega <= bound
+    assert (omega > 0).all() and (omega <= bound).all()
 
 
 def test_antisymmetric_coupling_absent_on_effective6(drive):
     h = build_effective_hamiltonian(drive)
-    for _omega, _ps, pa in phonon_eigenoperators(h):
-        assert np.abs(pa).max() < 1e-14
+    _omega, ps, pa = phonon_eigenoperators(h)
+    assert len(ps) and np.abs(pa).max() < 1e-14
 
 
 def test_phonon_dissipator_zero_temperature_downward_only(drive):
@@ -164,6 +166,31 @@ def test_stacked_assembly_matches_per_operator_sum(case, monkeypatch):
         oracle = oracle + lindblad_term(OperatorMatrix(h.basis, op)).matrix
     scale = np.abs(oracle).max()
     assert np.abs(sup.matrix - oracle).max() <= 1e-12 * scale
+
+
+def test_stacked_channels_and_direct_assembly_equal_their_loop_and_kron_forms(monkeypatch):
+    """Bitwise, on the presets, the full16 point and the fig4b points with t_e > 0."""
+    parts = []
+
+    def capture(h, collapse):
+        parts.append((h, collapse, assemble_liouvillian(h, collapse)))
+        return parts[-1][2]
+
+    monkeypatch.setattr(scenarios, "assemble_liouvillian", capture)
+    presets = scenarios.scenario_presets()
+    for config in (presets["fig3a"], presets["fig3a_full9"], presets["fig4a"], full16_config()):
+        scenarios.build_liouvillian(config)
+    scenarios.sweep_temperature(presets["fig4b"], [0.0, 0.5, 1.0, 2.0, 4.0], [1000.0, 2000.0, 3000.0])
+    assert len(parts) == 19
+    for h, collapse, sup in parts:
+        np.testing.assert_array_equal(sup.matrix, liouvillian_kron(h, collapse))
+        omega, p_sym, p_asym = phonon_eigenoperators(h)
+        loop = phonon_eigenoperators_loop(h)
+        assert len(omega) == len(loop) > 0
+        for k, (w, ps, pa) in enumerate(loop):
+            assert omega[k] == w
+            np.testing.assert_array_equal(p_sym[k], ps)
+            np.testing.assert_array_equal(p_asym[k], pa)
 
 
 def test_liouvillian_matches_direct_master_equation(liouv6, drive, basis6):

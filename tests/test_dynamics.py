@@ -58,6 +58,9 @@ def test_evolve_requires_ascending_grid(liouv6, paper_mixture):
         evolve(paper_mixture, liouv6, np.array([1.0, 2.0]))
     with pytest.raises(DomainError):
         evolve(paper_mixture, liouv6, np.array([0.0, 2.0, 2.0]))
+    for grid in ([], [[0.0, 1.0], [2.0, 3.0]]):  # IndexError and ValueError before the check
+        with pytest.raises(DomainError, match="nonempty 1-D grid"):
+            evolve(paper_mixture, liouv6, grid)
 
 
 def test_evolve_matches_propagator(liouv6, paper_mixture):
@@ -292,6 +295,11 @@ def test_characteristic_time_timeout(liouv6, paper_mixture):
         characteristic_time(liouv6, paper_mixture, epsilon=1e-9, t_max_ns=1.0)
     with pytest.raises(DomainError):
         characteristic_time(liouv6, paper_mixture, epsilon=1.5)
+    # a ceiling at or below 0 marched backwards into a timeout, a non-finite
+    # one reached the propagator as a non-finite norm
+    for t_max_ns in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DomainError, match="t_max_ns must be positive and finite"):
+            characteristic_time(liouv6, paper_mixture, t_max_ns=t_max_ns)
 
 
 def serial_characteristic_time(L, rho0, epsilon, t_max_ns):
@@ -455,20 +463,24 @@ def test_evolve_eigensolver_calls_do_not_grow_with_the_grid(monkeypatch):
         solver = getattr(np.linalg, name)
 
         def counted(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, args[0].shape))
             return solver(*args, **kwargs)
 
         return counted
 
-    for name in ("eigvalsh", "eigvals", "eigh", "svd"):
+    for name in ("cholesky", "eigvalsh", "eigvals", "eigh", "svd"):
         monkeypatch.setattr(np.linalg, name, counting(name))
     counts = []
     for grid in (cfg.times_ns(), np.linspace(0.0, cfg.times_ns()[-1], 801)):
         calls.clear()
         evolve(rho0, liouv, grid)
         counts.append(len(calls))
+        n = len(grid)
+        # one batched positivity screen of the states, and for the concurrence
+        # one batched eigh of the qubit blocks and one eigvalsh of their 8x8
+        # embeddings: no svd, and no eigensolver on the (n, 6, 6) stack
+        assert calls == [("cholesky", (n, 6, 6)), ("eigh", (n, 4, 4)), ("eigvalsh", (n, 8, 8))]
     assert len(cfg.times_ns()) == 201
-    # one batched validation, and one batched eigh and svd for the concurrence
     assert counts == [3, 3]
 
 

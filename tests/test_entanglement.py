@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from qdm.basis import effective6, full9, state_vector
-from conftest import TWO_QUBIT_BASIS, concurrence
-from qdm.entanglement import qubit_concurrence, qubit_concurrences
+from conftest import TWO_QUBIT_BASIS, concurrence, wootters_svd
+from qdm.entanglement import (
+    _symmetric_singular_values,
+    _wootters,
+    qubit_concurrence,
+    qubit_concurrences,
+)
 from qdm.errors import EmptySubspaceError
 from qdm.operators import DensityMatrix, physical_states
 from qdm.scenarios import scenario_presets, sweep_temperature
@@ -106,3 +111,27 @@ def test_stacked_projection_raises_on_an_empty_interior_snapshot():
     stack[2] = trion
     with pytest.raises(EmptySubspaceError):
         qubit_concurrences(b, stack)
+
+
+def test_symmetric_singular_values_match_svd():
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((200, 4, 4)) + 1j * rng.standard_normal((200, 4, 4))
+    m = g + g.swapaxes(-1, -2)
+    m /= np.linalg.norm(m, ord=2, axis=(-2, -1))[:, None, None]
+    np.testing.assert_allclose(
+        _symmetric_singular_values(m), np.linalg.svd(m, compute_uv=False), rtol=0, atol=1e-14
+    )
+
+
+def test_wootters_matches_the_svd_of_the_root_product():
+    rng = np.random.default_rng(12)
+    blocks = [werner(p) for p in np.linspace(0.0, 1.0, 31)]
+    for rank in (1, 2, 3, 4):  # random states of each rank
+        g = rng.standard_normal((50, 4, rank)) + 1j * rng.standard_normal((50, 4, rank))
+        rho = g @ g.conj().swapaxes(-1, -2)
+        blocks += list(rho / np.trace(rho, axis1=1, axis2=2)[:, None, None])
+    for psi in ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]):
+        v = np.array(psi) / np.sqrt(2)
+        blocks.append(np.outer(v, v))
+    blocks = np.array(blocks, dtype=complex)
+    np.testing.assert_allclose(_wootters(blocks), wootters_svd(blocks), rtol=0, atol=2e-15)

@@ -75,6 +75,12 @@ def test_dot_operator_pair():
         dot_operator_pair(BasisKind.EFFECTIVE6, "0", "s")
 
 
+def test_dot_operator_pairs_are_cached_read_only():
+    pair = dot_operator_pair(BasisKind.FULL16, "s", "t")
+    assert dot_operator_pair(BasisKind.FULL16, "s", "t") is pair
+    assert not any(m.flags.writeable for m in pair)
+
+
 def test_dressed_basis_diagonalizes_two_level_block():
     delta, te = -20000.0, 2000.0
     info = dressed_basis(delta, te)

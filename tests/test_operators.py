@@ -16,6 +16,7 @@ from qdm.basis import effective6
 from qdm.dynamics import evolve
 from qdm.errors import BasisMismatchError, DomainError, PositivityError
 from qdm.operators import (
+    POSITIVITY_TOL,
     DensityMatrix,
     OperatorMatrix,
     Superoperator,
@@ -113,6 +114,10 @@ def _bad_state(kind, dim=6):
         m[0, 1] += 1e-6
     elif kind == "trace":
         m *= 1.0 + 1e-6
+    elif kind == "non-finite":  # every comparison with NaN is False
+        m = np.diag([np.nan, 1.0] + [0.0] * (dim - 2)).astype(complex)
+    elif kind == "non-finite, all":  # eigvalsh fails on it with LinAlgError
+        m = np.full((dim, dim), np.nan, dtype=complex)
     else:
         m = np.diag([1.5, -0.5] + [0.0] * (dim - 2)).astype(complex)
     return m
@@ -127,18 +132,50 @@ def test_physical_states_match_single_validation(basis6):
     np.testing.assert_array_equal(out, np.array(singles))
 
 
-@pytest.mark.parametrize("kind", ["not Hermitian", "trace", "min eigenvalue"])
+@pytest.mark.parametrize(
+    "kind", ["not Hermitian", "trace", "min eigenvalue", "non-finite", "non-finite, all"]
+)
 def test_physical_states_bad_interior_snapshot_raises_as_alone(basis6, kind):
     bad = _bad_state(kind)
     with pytest.raises(PositivityError) as alone:
         DensityMatrix(basis6, bad)
-    assert kind in str(alone.value)
+    assert kind.split(",")[0] in str(alone.value)
     stack = np.array([random_density(6, seed) for seed in range(5)])
     stack[2] = bad
     with pytest.raises(PositivityError) as stacked:
         physical_states(stack)
     assert type(stacked.value) is type(alone.value)
     assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("dim", [4, 6, 9])
+@pytest.mark.parametrize("lam_min", [
+    -POSITIVITY_TOL * (1 + 1e-3),
+    -POSITIVITY_TOL * (1 - 1e-3),
+    -POSITIVITY_TOL * (1 - 1e-5),
+    0.0,
+])
+def test_positivity_screen_gives_the_eigensolvers_verdict(dim, lam_min):
+    """Near the tolerance the Cholesky screen must defer to `eigvalsh`: a state
+    fails exactly when its smallest eigenvalue is below -POSITIVITY_TOL."""
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        u, _ = np.linalg.qr(g)
+        w = rng.uniform(0.1, 1.0, dim)
+        w[0] = 0.0
+        w *= (1.0 - lam_min) / w.sum()
+        w[0] = lam_min
+        rho = (u * w) @ u.conj().T
+        herm = (rho + rho.conj().T) / 2
+        wmin = np.linalg.eigvalsh(herm).min()
+        stack = np.array([random_density(dim, 3), rho])
+        if wmin < -POSITIVITY_TOL:
+            with pytest.raises(PositivityError) as err:
+                physical_states(stack)
+            assert str(err.value) == f"density matrix min eigenvalue {wmin:.2e}"
+        else:
+            physical_states(stack)
 
 
 def test_trace_distance_broadcasts_over_a_stack():
