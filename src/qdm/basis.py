@@ -9,7 +9,10 @@ The two-dot model lives on one of four working bases:
 * ``FULL16`` -- the product basis of two four-level dots ``{0, 1, s, t}``.
 
 Symmetric / antisymmetric combinations are ``|Sij> = (|ij> + |ji>)/sqrt(2)``
-and ``|Aij> = (|ji> - |ij>)/sqrt(2)``.
+and ``|Aij> = (|ji> - |ij>)/sqrt(2)``. Each effective basis spans a subspace
+of a product basis (effective6 of full9, effective8 of full16), and its
+operators are the restrictions P^dag A P of the product-basis ones
+(`embedding`, `restrict`).
 """
 
 from __future__ import annotations
@@ -113,3 +116,25 @@ def state_vector(basis: ModelBasis, label: str) -> np.ndarray:
         raise BasisMismatchError(f"state {label!r} is not resolvable on basis {basis.kind.value}")
     v.setflags(write=False)
     return v
+
+
+_PARENT = {BasisKind.EFFECTIVE6: full9, BasisKind.EFFECTIVE8: full16}
+
+
+@cache
+def embedding(basis: ModelBasis) -> tuple[ModelBasis, np.ndarray]:
+    """The product basis an effective `basis` lives in, and the isometry P
+    (read-only) whose columns are the effective states in it."""
+    if basis.kind not in _PARENT:
+        raise BasisMismatchError(f"basis {basis.kind.value} is not an effective basis")
+    parent = _PARENT[basis.kind]()
+    p = np.array([state_vector(parent, lab) for lab in basis.labels]).T
+    p.setflags(write=False)
+    return parent, p
+
+
+def restrict(basis: ModelBasis, ops: np.ndarray) -> np.ndarray:
+    """``P^dag A P``: operators on the parent product basis, one ``(D, D)`` or
+    an ``(n, D, D)`` stack, restricted to the effective `basis`."""
+    _, p = embedding(basis)
+    return p.conj().T @ ops @ p

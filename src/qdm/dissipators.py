@@ -1,9 +1,9 @@
 """Collapse operators and Liouvillian assembly.
 
-Spontaneous emission enters through four fixed jump operators on the
-effective bases; on the product bases the same processes are expressed as
-per-dot decay in symmetric / antisymmetric combinations, which restrict to
-those four operators on the single-trion sector. Phonons enter as secular
+Spontaneous emission enters as per-dot trion decay in symmetric /
+antisymmetric combinations, defined on the product bases; on an effective
+basis each operator is the restriction of its product-basis form, and so is
+each trion occupation the phonons couple to. Phonons enter as secular
 eigenoperator channels of the coherent Hamiltonian, weighted by the two
 parity-resolved spectral densities.
 """
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisKind, ModelBasis
+from .basis import BasisKind, ModelBasis, embedding, restrict
 from .errors import BasisMismatchError
-from .hamiltonians import dot_operator_pair, ketbra
+from .hamiltonians import dot_operator_pair
 from .operators import OperatorMatrix, Superoperator
 from .params import DotGeometry, MaterialParams
 from .physics import bose_occupation, spectral_density
@@ -65,60 +65,35 @@ class CollapseSet:
         return (self.ops.conj().transpose(0, 2, 1) @ self.ops).sum(axis=0)
 
 
-def _effective_spontaneous(gamma0: float, gamma1: float, basis: ModelBasis) -> CollapseSet:
-    l1 = math.sqrt(gamma0) * (
-        ketbra(basis, "00", "S0s") + ketbra(basis, "S01", "S1s") / math.sqrt(2)
-    )
-    l2 = -math.sqrt(gamma0 / 2) * ketbra(basis, "A01", "S1s")
-    l3 = math.sqrt(gamma1) * (
-        ketbra(basis, "11", "S1s") + ketbra(basis, "S01", "S0s") / math.sqrt(2)
-    )
-    l4 = math.sqrt(gamma1 / 2) * ketbra(basis, "A01", "S0s")
-    return CollapseSet(basis, (l1, l2, l3, l4), ("L1", "L2", "L3", "L4"))
-
-
-def _full_spontaneous(gamma0: float, gamma1: float, basis: ModelBasis) -> CollapseSet:
-    d01, d02 = dot_operator_pair(basis.kind, "0", "s")
-    d11, d12 = dot_operator_pair(basis.kind, "1", "s")
-    mats = (
-        math.sqrt(gamma0) * (d01 + d02) / math.sqrt(2),
-        math.sqrt(gamma0) * (d01 - d02) / math.sqrt(2),
-        math.sqrt(gamma1) * (d11 + d12) / math.sqrt(2),
-        math.sqrt(gamma1) * (d11 - d12) / math.sqrt(2),
-    )
-    return CollapseSet(basis, mats, ("L1", "L2", "L3", "L4"))
+def _dot_sums(basis: ModelBasis, a: str, b: str) -> tuple[np.ndarray, np.ndarray]:
+    """``|a><b|`` on dot 1 plus and minus the same on dot 2, on `basis`; on an
+    effective basis, restricted from its product basis."""
+    product = basis.kind in (BasisKind.FULL9, BasisKind.FULL16)
+    on1, on2 = dot_operator_pair(basis.kind if product else embedding(basis)[0].kind, a, b)
+    ops = np.array([on1 + on2, on1 - on2])
+    return tuple(ops if product else restrict(basis, ops))
 
 
 def spontaneous_collapse_ops(gamma0: float, gamma1: float, basis: ModelBasis) -> CollapseSet:
     """The four radiative jump operators of the protocol on `basis`.
 
-    L1 and L3 feed the symmetric ground manifold, L2 and L4 feed the target
-    state's sector with opposite sign; none of the four has support on
-    ``|A01>``, which is what pins the dark state.
+    Per-dot trion decay into ``|0>`` (L1, L2) and ``|1>`` (L3, L4), in the
+    symmetric and antisymmetric combination of the two dots. L1 and L3 feed
+    the symmetric ground manifold, L2 and L4 feed the target state's sector
+    with opposite sign; none of the four has support on ``|A01>``, which is
+    what pins the dark state.
     """
     if gamma0 < 0 or gamma1 < 0:
         raise ValueError("decay rates must be nonnegative")
-    if basis.kind in (BasisKind.EFFECTIVE6, BasisKind.EFFECTIVE8):
-        return _effective_spontaneous(gamma0, gamma1, basis)
-    if basis.kind in (BasisKind.FULL9, BasisKind.FULL16):
-        return _full_spontaneous(gamma0, gamma1, basis)
-    raise BasisMismatchError(f"no spontaneous collapse set on basis {basis.kind.value}")
-
-
-def _occupation_operators(basis: ModelBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric and antisymmetric intra-dot trion occupation on `basis`."""
-    if basis.kind in (BasisKind.FULL9, BasisKind.FULL16):
-        n1, n2 = dot_operator_pair(basis.kind, "s", "s")
-        return n1 + n2, n1 - n2
-    if basis.kind in (BasisKind.EFFECTIVE6, BasisKind.EFFECTIVE8):
-        o_sym = np.zeros((basis.dim, basis.dim), dtype=complex)
-        for lab in ("S0s", "S1s"):
-            i = basis.index(lab)
-            o_sym[i, i] = 1.0
-        # the antisymmetric single-trion states are adiabatically eliminated,
-        # so the antisymmetric occupation has no support on these bases
-        return o_sym, np.zeros_like(o_sym)
-    raise BasisMismatchError(f"no occupation operators on basis {basis.kind.value}")
+    sym0, asym0 = _dot_sums(basis, "0", "s")
+    sym1, asym1 = _dot_sums(basis, "1", "s")
+    mats = (
+        math.sqrt(gamma0) * sym0 / math.sqrt(2),
+        math.sqrt(gamma0) * asym0 / math.sqrt(2),
+        math.sqrt(gamma1) * sym1 / math.sqrt(2),
+        math.sqrt(gamma1) * asym1 / math.sqrt(2),
+    )
+    return CollapseSet(basis, mats, ("L1", "L2", "L3", "L4"))
 
 
 def _eigen_clusters(energies: np.ndarray) -> list[np.ndarray]:
@@ -144,7 +119,7 @@ def phonon_eigenoperators(H: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, np
     """
     if not H.is_hermitian(tol=1e-9):
         raise BasisMismatchError("phonon channels require a Hermitian Hamiltonian")
-    o_sym, o_asym = _occupation_operators(H.basis)
+    o_sym, o_asym = _dot_sums(H.basis, "s", "s")  # the trion occupations
     energies, vecs = np.linalg.eigh(H.matrix)
     clusters = _eigen_clusters(energies)
     projectors = np.array([vecs[:, c] @ vecs[:, c].conj().T for c in clusters])

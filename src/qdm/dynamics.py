@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisKind, ModelBasis, state_vector
+from .basis import BasisKind, ModelBasis, effective6, state_vector
 from .entanglement import qubit_concurrences
 from .errors import ConvergenceTimeoutError, DegenerateSteadyStateError, DomainError
 from .operators import (
@@ -275,24 +275,18 @@ def characteristic_time(
 
 
 def adiabatic_validity(L_full: Superoperator, rho0: DensityMatrix, t_grid_ns: np.ndarray) -> float:
-    """Peak population on the adiabatically eliminated states over a run.
+    """Peak population outside the six effective6 states over a run.
 
-    The run is `evolve` on `t_grid_ns`. On the 9-state model the eliminated
-    states are the bi-trion |ss> and the antisymmetric single-trion states; on
-    bases with an inter-dot trion level, every state containing it counts as
-    well.
+    The run is `evolve` on `t_grid_ns`; the population is 1 - Tr(P^dag rho P),
+    P the effective6 states embedded in the run's basis. On full9 the states
+    outside are the bi-trion |ss> and the antisymmetric single-trion states;
+    with an inter-dot trion level, every state containing it as well.
     """
     basis = L_full.basis
-    if basis.kind == BasisKind.FULL9:
-        labels = ["ss", "A0s", "A1s"]
-    elif basis.kind == BasisKind.FULL16:
-        labels = ["ss", "A0s", "A1s"] + [lab for lab in basis.labels if "t" in lab]
-    elif basis.kind == BasisKind.EFFECTIVE8:
-        labels = ["S0t", "S1t"]
-    else:
+    if basis.kind == BasisKind.EFFECTIVE6:
         raise DomainError("adiabatic_validity needs a basis with eliminated states")
-    vectors = np.array([state_vector(basis, lab) for lab in labels])
+    kept = np.array([state_vector(basis, lab) for lab in effective6().labels])
 
     traj = evolve(rho0, L_full, t_grid_ns)
-    pops = np.einsum("ki,nij,kj->n", vectors.conj(), traj.matrices, vectors).real
-    return max(0.0, float(pops.max()))
+    pops = np.einsum("ki,nij,kj->n", kept.conj(), traj.matrices, kept).real
+    return max(0.0, 1.0 - float(pops.min()))

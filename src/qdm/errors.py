@@ -37,5 +37,6 @@ class DomainError(QdmError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class ConfigError(QdmError):
-    """A scenario configuration violates the schema or its invariants."""
+class ConfigError(QdmError, ValueError):
+    """A scenario configuration or parameter record violates the schema or its
+    invariants (also a `ValueError`, as for any rejected argument value)."""

@@ -22,6 +22,7 @@ from .basis import (
     effective6,
     effective8,
     make_basis,
+    restrict,
     state_vector,
 )
 from .errors import BasisMismatchError, DegenerateBasisError
@@ -43,14 +44,12 @@ def dot_operator_pair(kind: BasisKind, a: str, b: str) -> tuple[np.ndarray, np.n
         levels = DOT4_LEVELS
     else:
         raise BasisMismatchError("dot_operator_pair expects a product-basis kind")
-    n = len(levels)
-    op = np.zeros((n, n), dtype=complex)
-    op[levels.index(a), levels.index(b)] = 1.0
-    ident = np.eye(n)
-    pair = np.kron(op, ident), np.kron(ident, op)
-    for m in pair:
-        m.setflags(write=False)
-    return pair
+    n, i, j, x = len(levels), levels.index(a), levels.index(b), np.arange(len(levels))
+    pair = np.zeros((2, n * n, n * n), dtype=complex)
+    pair[0, i * n + x, j * n + x] = 1.0  # product label: dot 1's level first
+    pair[1, x * n + i, x * n + j] = 1.0
+    pair.setflags(write=False)
+    return pair[0], pair[1]
 
 
 def build_full_hamiltonian(
@@ -94,21 +93,17 @@ def build_full_hamiltonian(
     return OperatorMatrix(basis, h)
 
 
-def build_effective_hamiltonian(drive: DriveParams) -> OperatorMatrix:
-    """Adiabatically eliminated 6-state Hamiltonian.
+def build_effective_hamiltonian(drive: DriveParams, coupling: CouplingParams) -> OperatorMatrix:
+    """Adiabatically eliminated 6-state Hamiltonian: the full9 one restricted
+    to the effective6 states (order 0 of the elimination).
 
-    Carries exactly the five drive couplings; the singlet row and column are
-    identically zero, which is what makes it the dark state of the protocol.
+    It carries the five drive couplings and ``detuning + v_f`` on ``|S0s>``
+    and ``|S1s>``; the bi-trion shift `v_xx` lives on an eliminated state.
+    The singlet ``|A01>`` couples only to eliminated states, so its row and
+    column vanish, which is what makes it the dark state of the protocol.
     """
     basis = effective6()
-    h = (
-        math.sqrt(2) * drive.omega * ketbra(basis, "11", "S1s")
-        + drive.omega * ketbra(basis, "S01", "S0s")
-        + drive.omega_m * ketbra(basis, "S0s", "S1s")
-        + math.sqrt(2) * drive.omega_m * ketbra(basis, "00", "S01")
-        + math.sqrt(2) * drive.omega_m * ketbra(basis, "S01", "11")
-    )
-    return OperatorMatrix(basis, h + h.conj().T)
+    return OperatorMatrix(basis, restrict(basis, build_full_hamiltonian(drive, coupling).matrix))
 
 
 @dataclass(frozen=True)
@@ -163,8 +158,8 @@ def build_effective_tunneling_hamiltonian(
     larger intra-dot component), with its matrix element scaled by that
     component; the laser is taken resonant with this branch, so the other
     branch carries the dressed splitting on the diagonal. The Raman couplings
-    are untouched by the dressing. With ``t_e -> 0`` this reduces exactly to
-    the 6-state Hamiltonian (plus decoupled detuned t levels).
+    are untouched by the dressing. With ``t_e -> 0`` and ``detuning + v_f = 0``
+    this reduces to the 6-state Hamiltonian (plus decoupled detuned t levels).
     """
     basis = effective8()
     u = dressed.U.matrix

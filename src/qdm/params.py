@@ -7,7 +7,10 @@ Lengths are nanometers and temperatures Kelvin unless a field says otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+
+from .errors import ConfigError
 
 # hbar in ueV * ns; also the ns-per-internal-time-unit conversion factor.
 HBAR_UEV_NS = 0.65821195
@@ -27,6 +30,13 @@ EPSILON_0_SI = 8.8541878128e-12  # F / m
 EPS_R_CALIBRATED = 4.148
 
 
+def _check_finite(record: object) -> None:
+    """Reject a parameter record with a NaN or infinite field."""
+    bad = [f.name for f in fields(record) if not math.isfinite(getattr(record, f.name))]
+    if bad:
+        raise ConfigError(f"{type(record).__name__} fields must be finite: {', '.join(bad)}")
+
+
 @dataclass(frozen=True)
 class DriveParams:
     """Laser drive and spontaneous-emission rates, all in ueV.
@@ -43,8 +53,9 @@ class DriveParams:
     gamma1: float = 1.2
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if min(self.omega, self.omega_m, self.gamma0, self.gamma1) < 0:
-            raise ValueError("omega, omega_m, gamma0, gamma1 must be nonnegative")
+            raise ConfigError("omega, omega_m, gamma0, gamma1 must be nonnegative")
 
     @property
     def gamma_total(self) -> float:
@@ -67,8 +78,9 @@ class CouplingParams:
     omega_t: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.v_xx <= 0:
-            raise ValueError("v_xx must be positive")
+            raise ConfigError("v_xx must be positive")
 
     @property
     def delta(self) -> float:
@@ -98,10 +110,11 @@ class DotGeometry:
     eps_r: float = EPS_R_CALIBRATED
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if min(self.l_par_e, self.l_par_h, self.l_perp, self.d, self.a) <= 0:
-            raise ValueError("all lengths must be positive")
+            raise ConfigError("all lengths must be positive")
         if self.eps_r <= 0:
-            raise ValueError("eps_r must be positive")
+            raise ConfigError("eps_r must be positive")
 
 
 @dataclass(frozen=True)
@@ -125,5 +138,6 @@ class MaterialParams:
     e_b_h: float = -17.94
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.mass_density <= 0 or self.c_s <= 0:
-            raise ValueError("mass_density and c_s must be positive")
+            raise ConfigError("mass_density and c_s must be positive")

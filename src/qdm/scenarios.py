@@ -82,12 +82,12 @@ class ScenarioConfig:
             # state is degenerate
             raise ConfigError("model full16 requires tunneling=True with nonzero coupling.t_e")
         start, stop, points = self.t_grid
-        if start != 0.0 or stop <= start or int(points) < 2:
-            raise ConfigError("t_grid must be (0, stop > 0, points >= 2)")
+        if start != 0.0 or not 0.0 < stop < math.inf or not float(points).is_integer() or points < 2:
+            raise ConfigError("t_grid must be (0, finite stop > 0, integer points >= 2)")
         if not 0.0 < self.epsilon_T0 < 1.0:
             raise ConfigError("epsilon_T0 must lie in (0, 1)")
-        if self.temperature < 0:
-            raise ConfigError("temperature must be nonnegative")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ConfigError("temperature must be finite and nonnegative")
 
     def times_ns(self) -> np.ndarray:
         start, stop, points = self.t_grid
@@ -147,7 +147,7 @@ def build_liouvillian(config: ScenarioConfig) -> Superoperator:
     """Hamiltonian plus collapse set for the configured model, assembled."""
     drive, coupling = config.drive, config.coupling
     if config.model == "effective6":
-        h = build_effective_hamiltonian(drive)
+        h = build_effective_hamiltonian(drive, coupling)
     elif config.model == "effective8":
         te = coupling.t_e if config.tunneling else 0.0
         h = build_effective_tunneling_hamiltonian(

@@ -5,20 +5,21 @@ import pytest
 import scipy.linalg as la
 from scipy.integrate import solve_ivp
 
-from qdm.basis import BasisKind, ModelBasis, effective6
+from qdm.basis import BasisKind, ModelBasis, effective6, state_vector
 from qdm.dissipators import (
     _ZERO_OP_TOL,
     OMEGA_CUTOFF,
+    _dot_sums,
     _eigen_clusters,
-    _occupation_operators,
     assemble_liouvillian,
     spontaneous_collapse_ops,
 )
+from qdm.dynamics import evolve
 from qdm.entanglement import _YY, TWO_QUBIT_LABELS, _wootters
 from qdm.errors import BasisMismatchError
-from qdm.hamiltonians import build_effective_hamiltonian
-from qdm.operators import DensityMatrix, Superoperator, trace_distance_matrices
-from qdm.params import HBAR_UEV_NS, DriveParams
+from qdm.hamiltonians import build_effective_hamiltonian, ketbra
+from qdm.operators import DensityMatrix, OperatorMatrix, Superoperator, trace_distance_matrices
+from qdm.params import HBAR_UEV_NS, CouplingParams, DriveParams
 from qdm.scenarios import scenario_presets
 
 #: The bare two-qubit basis, on which `concurrence` reads a state.
@@ -38,7 +39,7 @@ def basis6():
 @pytest.fixture
 def liouv6(drive, basis6):
     """Spontaneous-only generator of the paper-default protocol."""
-    h = build_effective_hamiltonian(drive)
+    h = build_effective_hamiltonian(drive, CouplingParams())
     collapse = spontaneous_collapse_ops(drive.gamma0, drive.gamma1, basis6)
     return assemble_liouvillian(h, collapse)
 
@@ -143,7 +144,7 @@ def wootters_svd(blocks):
 def phonon_eigenoperators_loop(H):
     """(omega, p_sym, p_asym) per phonon channel of `H`, one cluster pair at a
     time in row-major order: the reference for the stacked `phonon_eigenoperators`."""
-    o_sym, o_asym = _occupation_operators(H.basis)
+    o_sym, o_asym = _dot_sums(H.basis, "s", "s")
     energies, vecs = np.linalg.eigh(H.matrix)
     clusters = _eigen_clusters(energies)
     projectors = [vecs[:, c] @ vecs[:, c].conj().T for c in clusters]
@@ -204,3 +205,47 @@ def propagator_expm(sup, t_ns):
     """exp(L t) as a superoperator, `t_ns` in ns, from scipy's `expm`: an oracle
     independent of the package's Padé propagator."""
     return Superoperator(sup.basis, la.expm(sup.matrix * (t_ns / HBAR_UEV_NS)))
+
+
+def effective6_hamiltonian_by_hand(drive):
+    """The effective6 Hamiltonian written out coupling by coupling, with the
+    trion diagonal at zero (detuning + v_f = 0): the reference for the
+    restricted full9 one."""
+    basis = effective6()
+    h = (
+        np.sqrt(2) * drive.omega * ketbra(basis, "11", "S1s")
+        + drive.omega * ketbra(basis, "S01", "S0s")
+        + drive.omega_m * ketbra(basis, "S0s", "S1s")
+        + np.sqrt(2) * drive.omega_m * ketbra(basis, "00", "S01")
+        + np.sqrt(2) * drive.omega_m * ketbra(basis, "S01", "11")
+    )
+    return OperatorMatrix(basis, h + h.conj().T)
+
+
+def effective_spontaneous_by_hand(gamma0, gamma1, basis):
+    """The four radiative jump operators written out on an effective basis:
+    the reference for the restricted product-basis ones."""
+    l1 = np.sqrt(gamma0) * (
+        ketbra(basis, "00", "S0s") + ketbra(basis, "S01", "S1s") / np.sqrt(2)
+    )
+    l2 = -np.sqrt(gamma0 / 2) * ketbra(basis, "A01", "S1s")
+    l3 = np.sqrt(gamma1) * (
+        ketbra(basis, "11", "S1s") + ketbra(basis, "S01", "S0s") / np.sqrt(2)
+    )
+    l4 = np.sqrt(gamma1 / 2) * ketbra(basis, "A01", "S0s")
+    return np.array([l1, l2, l3, l4])
+
+
+def adiabatic_validity_by_labels(sup, rho0, t_grid_ns):
+    """Peak summed population of the named eliminated states over a run: the
+    reference for `adiabatic_validity`'s 1 - Tr(P^dag rho P)."""
+    basis = sup.basis
+    labels = {
+        BasisKind.FULL9: ["ss", "A0s", "A1s"],
+        BasisKind.FULL16: ["ss", "A0s", "A1s"] + [lab for lab in basis.labels if "t" in lab],
+        BasisKind.EFFECTIVE8: ["S0t", "S1t"],
+    }[basis.kind]
+    vectors = np.array([state_vector(basis, lab) for lab in labels])
+    traj = evolve(rho0, sup, t_grid_ns)
+    pops = np.einsum("ki,nij,kj->n", vectors.conj(), traj.matrices, vectors).real
+    return max(0.0, float(pops.max()))

@@ -282,7 +282,7 @@ def test_criterion_10_numerical_core_oracles(liouv, presets):
     )
 
     drive = presets["fig3a"].drive
-    h = build_effective_hamiltonian(drive)
+    h = build_effective_hamiltonian(drive, presets["fig3a"].coupling)
     cs = spontaneous_collapse_ops(drive.gamma0, drive.gamma1, effective6())
     d_liouv = 0.0
     for seed in range(5):

@@ -5,10 +5,12 @@ from qdm.basis import (
     BasisKind,
     ModelBasis,
     effective6,
+    embedding,
     effective8,
     full9,
     full16,
     make_basis,
+    restrict,
     state_vector,
 )
 from qdm.errors import BasisMismatchError
@@ -64,3 +66,25 @@ def test_state_vectors_are_cached_read_only():
         v = state_vector(b, label)
         assert state_vector(b, label) is v
         assert not v.flags.writeable
+
+
+def test_embedding_is_a_cached_read_only_isometry():
+    for b, parent in ((effective6(), full9()), (effective8(), full16())):
+        got_parent, p = embedding(b)
+        assert got_parent == parent and embedding(b)[1] is p
+        assert p.shape == (parent.dim, b.dim) and not p.flags.writeable
+        assert np.abs(p.conj().T @ p - np.eye(b.dim)).max() <= 1e-15
+        for k, label in enumerate(b.labels):
+            np.testing.assert_array_equal(p[:, k], state_vector(parent, label))
+    for b in (full9(), full16()):
+        with pytest.raises(BasisMismatchError):
+            embedding(b)
+
+
+def test_restrict_broadcasts_over_stacks():
+    rng = np.random.default_rng(3)
+    ops = rng.standard_normal((3, 9, 9)) + 1j * rng.standard_normal((3, 9, 9))
+    stack = restrict(effective6(), ops)
+    assert stack.shape == (3, 6, 6)
+    for op, got in zip(ops, stack):
+        np.testing.assert_allclose(got, restrict(effective6(), op), rtol=0, atol=1e-14)

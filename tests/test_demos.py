@@ -15,10 +15,11 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    """Each demo runs to exit code 0 against src/ and leaves no file behind."""
+    """Each demo runs to exit code 0 against src/, with RuntimeWarnings raised
+    as errors as in the suite, and leaves no file behind."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,

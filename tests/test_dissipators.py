@@ -7,6 +7,7 @@ import scipy.linalg as la
 
 from conftest import (
     apply,
+    effective_spontaneous_by_hand,
     full16_config,
     lindblad_term,
     liouvillian_kron,
@@ -16,7 +17,7 @@ from conftest import (
     vectorize,
 )
 from qdm import scenarios
-from qdm.basis import effective6, effective8, full9, state_vector
+from qdm.basis import effective6, effective8, state_vector
 from qdm.dissipators import (
     CollapseSet,
     assemble_liouvillian,
@@ -27,7 +28,7 @@ from qdm.dissipators import (
 from qdm.errors import BasisMismatchError
 from qdm.hamiltonians import build_effective_hamiltonian
 from qdm.operators import OperatorMatrix
-from qdm.params import DotGeometry, DriveParams, K_B_UEV_PER_K, MaterialParams
+from qdm.params import CouplingParams, DotGeometry, DriveParams, K_B_UEV_PER_K, MaterialParams
 
 
 def test_zero_rates_give_zero_operators(basis6):
@@ -53,16 +54,12 @@ def test_total_decay_rate_from_s1s(basis6):
 
 
 def test_full9_embedding_restricts_to_effective_operators():
-    b9, b6 = full9(), effective6()
-    cs9 = spontaneous_collapse_ops(1.2, 0.8, b9)
-    cs6 = spontaneous_collapse_ops(1.2, 0.8, b6)
-    # compare matrix elements between the shared named states
-    for op9, op6 in zip(cs9.ops, cs6.ops):
-        for row in b6.labels:
-            for col in b6.labels:
-                got = state_vector(b9, row).conj() @ op9 @ state_vector(b9, col)
-                want = op6[b6.index(row), b6.index(col)]
-                assert abs(got - want) < 1e-12, (op9, row, col)
+    """The restricted product-basis jump operators are the hand-written ones."""
+    for basis in (effective6(), effective8()):
+        for rates in ((1.2, 0.8), (1.2, 1.2), (0.0, 1.0)):
+            cs = spontaneous_collapse_ops(*rates, basis)
+            want = effective_spontaneous_by_hand(*rates, basis)
+            assert np.abs(cs.ops - want).max() < 1e-14, (basis.kind, rates)
 
 
 def test_collapse_set_label_mismatch(basis6):
@@ -79,7 +76,7 @@ def test_eigenoperators_empty_for_zero_hamiltonian(basis6):
 
 
 def test_eigenoperator_frequencies_bounded_by_drive(drive):
-    h = build_effective_hamiltonian(drive)
+    h = build_effective_hamiltonian(drive, CouplingParams())
     omega, _ps, _pa = phonon_eigenoperators(h)
     assert omega.size
     bound = 4 * max(drive.omega, drive.omega_m)
@@ -87,20 +84,20 @@ def test_eigenoperator_frequencies_bounded_by_drive(drive):
 
 
 def test_antisymmetric_coupling_absent_on_effective6(drive):
-    h = build_effective_hamiltonian(drive)
+    h = build_effective_hamiltonian(drive, CouplingParams())
     _omega, ps, pa = phonon_eigenoperators(h)
     assert len(ps) and np.abs(pa).max() < 1e-14
 
 
 def test_phonon_dissipator_zero_temperature_downward_only(drive):
-    h = build_effective_hamiltonian(drive)
+    h = build_effective_hamiltonian(drive, CouplingParams())
     cs = phonon_dissipator(h, 0.0, DotGeometry(), MaterialParams())
     assert len(cs) > 0
     assert all(lab.endswith("down)") for lab in cs.labels)
 
 
 def test_phonon_detailed_balance(drive):
-    h = build_effective_hamiltonian(drive)
+    h = build_effective_hamiltonian(drive, CouplingParams())
     temp = 2.0
     cs = phonon_dissipator(h, temp, DotGeometry(), MaterialParams())
     # each upward operator directly follows its downward partner
@@ -118,7 +115,7 @@ def test_phonon_detailed_balance(drive):
 
 
 def test_phonon_rates_grow_with_temperature(drive):
-    h = build_effective_hamiltonian(drive)
+    h = build_effective_hamiltonian(drive, CouplingParams())
     geom, mat = DotGeometry(), MaterialParams()
     cold = phonon_dissipator(h, 0.0, geom, mat)
     warm = phonon_dissipator(h, 4.0, geom, mat)
@@ -137,7 +134,7 @@ def test_empty_collapse_set(drive, basis6):
     empty = CollapseSet(basis6, (), ())
     assert np.array_equal(empty.total_decay(), np.zeros((6, 6)))
     assert empty.ops.shape == (0, 6, 6)
-    h = build_effective_hamiltonian(drive)
+    h = build_effective_hamiltonian(drive, CouplingParams())
     sup = assemble_liouvillian(h, empty)
     ident = np.eye(6)
     coherent = -1j * (np.kron(ident, h.matrix) - np.kron(h.matrix.T, ident))
@@ -194,7 +191,7 @@ def test_stacked_channels_and_direct_assembly_equal_their_loop_and_kron_forms(mo
 
 
 def test_liouvillian_matches_direct_master_equation(liouv6, drive, basis6):
-    h = build_effective_hamiltonian(drive)
+    h = build_effective_hamiltonian(drive, CouplingParams())
     cs = spontaneous_collapse_ops(drive.gamma0, drive.gamma1, basis6)
     for seed in range(5):
         rho = random_density(6, 200 + seed)
@@ -224,7 +221,7 @@ def test_dark_state_is_exactly_stationary(liouv6, basis6):
 
 
 def test_dark_state_survives_phonons(drive, basis6):
-    h = build_effective_hamiltonian(drive)
+    h = build_effective_hamiltonian(drive, CouplingParams())
     cs = spontaneous_collapse_ops(drive.gamma0, drive.gamma1, basis6)
     cs = cs.merged(phonon_dissipator(h, 4.0, DotGeometry(), MaterialParams()))
     sup = assemble_liouvillian(h, cs)
@@ -234,7 +231,7 @@ def test_dark_state_survives_phonons(drive, basis6):
 
 
 def test_liouvillian_rejects_foreign_basis(drive, basis6):
-    h = build_effective_hamiltonian(drive)
+    h = build_effective_hamiltonian(drive, CouplingParams())
     cs = spontaneous_collapse_ops(1.0, 1.0, effective8())
     with pytest.raises(BasisMismatchError):
         assemble_liouvillian(h, cs)
@@ -256,3 +253,24 @@ def test_collapse_set_holds_a_read_only_copy(basis6):
     assert not cs.ops.flags.writeable
     with pytest.raises(ValueError):
         cs.ops[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("temperature", [1.0, 4.0])
+@pytest.mark.parametrize("model", ["fig3a", "fig3a_full9", "fig4a", "full16"])
+def test_phonon_generator_annihilates_the_gibbs_state(model, temperature, monkeypatch):
+    """The secular phonon generator of H satisfies KMS: exp(-H/kT)/Z is stationary."""
+    config = full16_config() if model == "full16" else scenarios.scenario_presets()[model]
+    parts = []
+
+    def capture(h, collapse):
+        parts.append(h)
+        return assemble_liouvillian(h, collapse)
+
+    monkeypatch.setattr(scenarios, "assemble_liouvillian", capture)
+    scenarios.build_liouvillian(config)
+    (h,) = parts
+    sup = assemble_liouvillian(h, phonon_dissipator(h, temperature, DotGeometry(), MaterialParams()))
+    energies, vecs = np.linalg.eigh(h.matrix)
+    weights = np.exp(-(energies - energies.min()) / (K_B_UEV_PER_K * temperature))
+    gibbs = (vecs * (weights / weights.sum())) @ vecs.conj().T
+    assert np.abs(sup.matrix @ vectorize(gibbs)).max() < 1e-15 * np.abs(sup.matrix).max()

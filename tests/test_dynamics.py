@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg as la
 
 from conftest import (
+    adiabatic_validity_by_labels,
     apply,
     dense_frame,
     dop853_reference,
@@ -42,7 +43,7 @@ from qdm.operators import (
     unvectorize_real,
     vectorize_real,
 )
-from qdm.params import HBAR_UEV_NS, DriveParams
+from qdm.params import HBAR_UEV_NS, CouplingParams, DriveParams
 from qdm.scenarios import build_liouvillian, initial_state, scenario_presets
 
 
@@ -203,7 +204,7 @@ def test_steady_state_is_the_singlet(liouv6, basis6):
 
 def test_steady_state_degenerate_without_drive(basis6):
     drive = DriveParams(omega=0.0, omega_m=0.0)
-    h = build_effective_hamiltonian(drive)
+    h = build_effective_hamiltonian(drive, CouplingParams())
     cs = spontaneous_collapse_ops(drive.gamma0, drive.gamma1, basis6)
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(assemble_liouvillian(h, cs))
@@ -283,7 +284,7 @@ def test_characteristic_time_shrinks_with_stronger_drive(paper_mixture, basis6):
     times = {}
     for omega in (10.0, 40.0):
         drive = DriveParams(omega=omega, omega_m=0.45 * omega)
-        h = build_effective_hamiltonian(drive)
+        h = build_effective_hamiltonian(drive, CouplingParams())
         cs = spontaneous_collapse_ops(drive.gamma0, drive.gamma1, basis6)
         sup = assemble_liouvillian(h, cs)
         times[omega] = characteristic_time(sup, paper_mixture, epsilon=0.1)
@@ -532,6 +533,25 @@ def test_adiabatic_validity_grows_when_hierarchy_breaks():
             adiabatic_validity(sup, initial_state(cfg, sup.basis), np.linspace(0.0, 50.0, 26))
         )
     assert values[0] < values[1] < values[2]
+
+
+@pytest.mark.parametrize("case", ["fig3a_full9", "fig4a", "full16"])
+def test_adiabatic_validity_matches_the_eliminated_state_sum(case):
+    if case == "full16":  # dressed resonance at 398 ueV, phonons at 1 K
+        cfg = full16_config()
+        cfg = replace(cfg, drive=replace(cfg.drive, detuning=398.0))
+    else:
+        cfg = scenario_presets()[case]
+    sup = build_liouvillian(cfg)
+    rho0 = initial_state(cfg, sup.basis)
+    grid = np.linspace(0.0, 50.0, 51)
+    got = adiabatic_validity(sup, rho0, grid)
+    assert abs(got - adiabatic_validity_by_labels(sup, rho0, grid)) <= 1e-10
+
+
+def test_adiabatic_validity_rejects_effective6(liouv6, paper_mixture):
+    with pytest.raises(DomainError):
+        adiabatic_validity(liouv6, paper_mixture, np.linspace(0.0, 1.0, 3))
 
 
 def test_evolve_leaves_the_time_grid_writable(liouv6, paper_mixture):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import effective6_hamiltonian_by_hand
 from qdm.basis import DOT3_LEVELS, DOT4_LEVELS, BasisKind, full9, full16
 from qdm.errors import BasisMismatchError, DegenerateBasisError
 from qdm.hamiltonians import (
@@ -16,17 +17,36 @@ from qdm.params import CouplingParams, DriveParams
 
 
 def test_effective6_structure(drive):
-    h = build_effective_hamiltonian(drive)
+    h = build_effective_hamiltonian(drive, CouplingParams())
     assert h.is_hermitian()
     b = h.basis
     m = h.matrix
     assert abs(m[b.index("11"), b.index("S1s")] - math.sqrt(2) * drive.omega) < 1e-12
     assert abs(m[b.index("S01"), b.index("S0s")] - drive.omega) < 1e-12
     assert abs(m[b.index("00"), b.index("S01")] - math.sqrt(2) * drive.omega_m) < 1e-12
-    # the target state is fully decoupled
+    # the target state is decoupled, up to the rounding of the restriction
     i = b.index("A01")
-    assert np.abs(m[i, :]).max() < 1e-14
-    assert np.abs(m[:, i]).max() < 1e-14
+    scale = np.abs(m).max()
+    assert np.abs(m[i, :]).max() <= 1e-15 * scale
+    assert np.abs(m[:, i]).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("drive", [DriveParams(), DriveParams(omega=35.0, omega_m=4.0)])
+def test_effective6_is_the_restricted_full9_hamiltonian(drive):
+    h = build_effective_hamiltonian(drive, CouplingParams(v_f=-drive.detuning))
+    want = effective6_hamiltonian_by_hand(drive).matrix
+    assert np.abs(h.matrix - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_effective6_reads_detuning_plus_v_f_only():
+    """The trion diagonal is detuning + v_f; v_xx and t_e sit on eliminated states."""
+    drive = DriveParams(detuning=300.0)
+    h = build_effective_hamiltonian(drive, CouplingParams(v_f=-200.0))
+    b = h.basis
+    for label in ("S0s", "S1s"):
+        assert abs(h.matrix[b.index(label), b.index(label)] - 100.0) < 1e-12
+    other = build_effective_hamiltonian(drive, CouplingParams(v_f=-200.0, v_xx=500.0, t_e=900.0))
+    np.testing.assert_array_equal(other.matrix, h.matrix)
 
 
 def test_full9_matrix_elements(drive):
@@ -106,7 +126,7 @@ def test_dressed_basis_limits():
 def test_effective_tunneling_reduces_to_effective6(drive):
     info = dressed_basis(-200.0, 0.0)
     h8 = build_effective_tunneling_hamiltonian(drive, info)
-    h6 = build_effective_hamiltonian(drive)
+    h6 = build_effective_hamiltonian(drive, CouplingParams())
     np.testing.assert_allclose(h8.matrix[:6, :6], h6.matrix, atol=1e-12)
     # the decoupled branch carries the dressed splitting on the diagonal
     b = h8.basis
@@ -118,7 +138,7 @@ def test_effective_tunneling_reduces_to_effective6(drive):
 def test_effective_tunneling_positive_delta_limit(drive):
     # delta > 0, t_e -> 0: the s branch is pumped directly
     h8 = build_effective_tunneling_hamiltonian(drive, dressed_basis(200.0, 0.0))
-    h6 = build_effective_hamiltonian(drive)
+    h6 = build_effective_hamiltonian(drive, CouplingParams())
     np.testing.assert_allclose(h8.matrix[:6, :6], h6.matrix, atol=1e-12)
 
 

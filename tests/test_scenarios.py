@@ -1,10 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from qdm.errors import ConfigError, DegenerateSteadyStateError
-from qdm.params import CouplingParams, DriveParams
+from qdm.params import CouplingParams, DotGeometry, DriveParams, MaterialParams
 from qdm.scenarios import (
     ScenarioConfig,
     build_liouvillian,
@@ -39,6 +40,35 @@ def test_config_invariants():
         ScenarioConfig(epsilon_T0=0.0)
     # phonons at T = 0 are legal (spontaneous phonon emission only)
     ScenarioConfig(phonons=True, temperature=0.0)
+
+
+_RECORD_FIELDS = [
+    (record, f.name)
+    for record in (DriveParams, CouplingParams, DotGeometry, MaterialParams)
+    for f in dataclasses.fields(record)
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("record, name", _RECORD_FIELDS, ids=lambda x: getattr(x, "__name__", x))
+def test_parameter_records_reject_non_finite_fields(record, name, value):
+    with pytest.raises(ConfigError, match=name):
+        record(**{name: value})
+
+
+def test_config_rejects_non_finite_temperature_and_grid():
+    for temperature in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="temperature"):
+            ScenarioConfig(temperature=temperature)
+    for grid in ((0.0, math.nan, 5), (0.0, math.inf, 5), (0.0, 10.0, 2.5), (0.0, 10.0, math.nan)):
+        with pytest.raises(ConfigError, match="t_grid"):
+            ScenarioConfig(t_grid=grid)
+    assert len(ScenarioConfig(t_grid=(0.0, 10.0, 5.0)).times_ns()) == 5
+
+
+def test_config_error_is_a_value_error():
+    with pytest.raises(ValueError):
+        DriveParams(omega=-1.0)
 
 
 def test_full16_rejected_at_zero_tunneling():
