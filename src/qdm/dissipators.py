@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisKind, ModelBasis, embedding, restrict
-from .errors import BasisMismatchError
+from .errors import BasisMismatchError, DomainError
 from .hamiltonians import dot_operator_pair
 from .operators import OperatorMatrix, Superoperator
 from .params import DotGeometry, MaterialParams
@@ -83,8 +83,8 @@ def spontaneous_collapse_ops(gamma0: float, gamma1: float, basis: ModelBasis) ->
     with opposite sign; none of the four has support on ``|A01>``, which is
     what pins the dark state.
     """
-    if gamma0 < 0 or gamma1 < 0:
-        raise ValueError("decay rates must be nonnegative")
+    if not (0.0 <= gamma0 < math.inf and 0.0 <= gamma1 < math.inf):
+        raise DomainError(f"decay rates must be finite and nonnegative, got {gamma0}, {gamma1}")
     sym0, asym0 = _dot_sums(basis, "0", "s")
     sym1, asym1 = _dot_sums(basis, "1", "s")
     mats = (
@@ -148,8 +148,8 @@ def phonon_dissipator(
     coupling uses the in-phase spectral density, the antisymmetric one the
     out-of-phase density.
     """
-    if temperature < 0:
-        raise ValueError("temperature must be nonnegative")
+    if not 0.0 <= temperature < math.inf:
+        raise DomainError(f"temperature must be finite and nonnegative, got {temperature}")
     ops: list[np.ndarray] = []
     labels: list[str] = []
     omegas, p_syms, p_asyms = phonon_eigenoperators(H)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,13 +15,27 @@ from qdm.dissipators import (
     assemble_liouvillian,
     spontaneous_collapse_ops,
 )
-from qdm.dynamics import evolve
-from qdm.entanglement import _YY, TWO_QUBIT_LABELS, _wootters
-from qdm.errors import BasisMismatchError
+from qdm import dynamics, scenarios
+from qdm.dynamics import NULL_SINGULAR_VALUE_TOL, STEADY_RESIDUAL_TOL, evolve
+from qdm.entanglement import _YY, TWO_QUBIT_LABELS, _wootters, qubit_concurrence
+from qdm.errors import (
+    BasisMismatchError,
+    ConvergenceTimeoutError,
+    DegenerateSteadyStateError,
+    DomainError,
+    QdmError,
+)
 from qdm.hamiltonians import build_effective_hamiltonian, ketbra
-from qdm.operators import DensityMatrix, OperatorMatrix, Superoperator, trace_distance_matrices
+from qdm.operators import (
+    DensityMatrix,
+    OperatorMatrix,
+    Superoperator,
+    trace_distance_matrices,
+    unvectorize_real,
+    vectorize_real,
+)
 from qdm.params import HBAR_UEV_NS, CouplingParams, DriveParams
-from qdm.scenarios import scenario_presets
+from qdm.scenarios import build_liouvillian, initial_state, scenario_presets
 
 #: The bare two-qubit basis, on which `concurrence` reads a state.
 TWO_QUBIT_BASIS = ModelBasis(BasisKind.EFFECTIVE6, TWO_QUBIT_LABELS)
@@ -249,3 +264,100 @@ def adiabatic_validity_by_labels(sup, rho0, t_grid_ns):
     traj = evolve(rho0, sup, t_grid_ns)
     pops = np.einsum("ki,nij,kj->n", vectors.conj(), traj.matrices, vectors).real
     return max(0.0, float(pops.max()))
+
+
+def serial_characteristic_time(L, rho0, epsilon, t_max_ns, steady=None):
+    """The step-by-step march, one distance per step, then the bisection on
+    half steps squared from one Padé at the finest width, in the real frame
+    that `characteristic_time` marches in. Distance is to `steady`, or to
+    the steady state of L.
+
+    Returns (t_hi, k_hit), or None when no step comes within epsilon.
+    """
+    target = (steady if steady is not None else dynamics.steady_state(L)).matrix
+    gen = L.real_matrix
+    dt = t_max_ns / dynamics._COARSE_STEPS
+    step = dynamics._propagator(gen, dt)
+
+    def dist(v):
+        return trace_distance_matrices(unvectorize_real(v, rho0.dim), target)
+
+    v = vectorize_real(rho0.matrix)
+    for k in range(1, dynamics._COARSE_STEPS + 1):
+        v_next = step @ v
+        if dist(v_next) <= epsilon:
+            break
+        v = v_next
+    else:
+        return None
+
+    def resolved(width, t_hi):
+        return width <= 0.01 * max(t_hi, dt * 1e-3)
+
+    t_lo, t_hi, width, depth = (k - 1) * dt, k * dt, dt, 0
+    while not resolved(dt / 2**depth, t_lo):
+        depth += 1
+    halves = [dynamics._propagator(gen, dt / 2**depth)] if depth else []
+    while len(halves) < depth:
+        halves.insert(0, halves[0] @ halves[0])
+    for prop in halves:
+        if resolved(width, t_hi):
+            break
+        width /= 2.0
+        v_mid = prop @ v
+        if dist(v_mid) <= epsilon:
+            t_hi = t_lo + width
+        else:
+            t_lo, v = t_lo + width, v_mid
+    return t_hi, k
+
+
+def steady_state_by_point(L):
+    """One generator's steady state, solved alone: full `svd` null count,
+    trace-row solve, residual, then the DensityMatrix check."""
+    gen = L.real_matrix
+    sv = np.linalg.svd(gen, compute_uv=False)
+    null_count = int(np.sum(sv < NULL_SINGULAR_VALUE_TOL))
+    if null_count != 1:
+        raise DegenerateSteadyStateError(
+            f"{null_count} null singular values below {NULL_SINGULAR_VALUE_TOL} "
+            f"(smallest: {np.array2string(sv[::-1][:3], precision=3)})"
+        )
+    dim = L.dim
+    a = gen.copy()
+    a[0] = np.arange(dim * dim) < dim
+    x = np.linalg.solve(a, np.eye(dim * dim, 1)[:, 0])
+    residual = np.linalg.norm(gen @ x)
+    if residual > STEADY_RESIDUAL_TOL:
+        raise DegenerateSteadyStateError(f"steady-state residual {residual:.2e}")
+    return DensityMatrix(L.basis, unvectorize_real(x, dim))
+
+
+def sweep_rows_by_point(points, configs):
+    """Sweep rows from a loop over the points, each solved alone: build,
+    initial state, steady state, T0 by the serial march, concurrence. The
+    reference for the stacked pipeline, whose rows must equal these bitwise."""
+    rows = []
+    for point, config in zip(points, configs):
+        try:
+            liouv = build_liouvillian(config)
+            rho0 = initial_state(config, liouv.basis)
+            steady = steady_state_by_point(liouv)
+            epsilon, t_max = config.epsilon_T0, scenarios._t0_ceiling_ns(config)
+            if not (math.isfinite(t_max) and t_max > 0.0):
+                raise DomainError(f"t_max_ns must be positive and finite, got {t_max}")
+            if trace_distance_matrices(rho0.matrix, steady.matrix) <= epsilon:
+                t0 = 0.0
+            else:
+                hit = serial_characteristic_time(liouv, rho0, epsilon, t_max, steady)
+                if hit is None:
+                    raise ConvergenceTimeoutError(
+                        f"state not within {epsilon} of the steady state by {t_max:.4g} ns"
+                    )
+                t0 = hit[0]
+            c_ss, leak_ss = qubit_concurrence(steady)
+        except QdmError as exc:
+            rows.append((*point, math.nan, math.nan, math.nan, str(exc)))
+        else:
+            rows.append((*point, c_ss, t0, leak_ss, ""))
+    return tuple(rows)

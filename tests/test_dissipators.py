@@ -25,7 +25,7 @@ from qdm.dissipators import (
     phonon_eigenoperators,
     spontaneous_collapse_ops,
 )
-from qdm.errors import BasisMismatchError
+from qdm.errors import BasisMismatchError, DomainError
 from qdm.hamiltonians import build_effective_hamiltonian
 from qdm.operators import OperatorMatrix
 from qdm.params import CouplingParams, DotGeometry, DriveParams, K_B_UEV_PER_K, MaterialParams
@@ -51,6 +51,17 @@ def test_total_decay_rate_from_s1s(basis6):
     i = basis6.index("S1s")
     rate = cs.total_decay()[i, i].real
     assert abs(rate - (g0 + g1)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_layers_reject_negative_and_non_finite_arguments(drive, basis6, bad):
+    # NaN read as T = 0, +inf divided by zero, and -1 raised a bare ValueError
+    h = build_effective_hamiltonian(drive, CouplingParams())
+    with pytest.raises(DomainError, match="temperature"):
+        phonon_dissipator(h, bad, DotGeometry(), MaterialParams())
+    for rates in ((bad, 1.2), (1.2, bad)):
+        with pytest.raises(DomainError, match="decay rates"):
+            spontaneous_collapse_ops(*rates, basis6)
 
 
 def test_full9_embedding_restricts_to_effective_operators():

@@ -16,6 +16,7 @@ from conftest import (
     full16_config,
     propagator_expm,
     random_density,
+    serial_characteristic_time,
     trace_distance,
     unvectorize,
     vectorize,
@@ -40,7 +41,6 @@ from qdm.operators import (
     DensityMatrix,
     Superoperator,
     trace_distance_matrices,
-    unvectorize_real,
     vectorize_real,
 )
 from qdm.params import HBAR_UEV_NS, CouplingParams, DriveParams
@@ -172,12 +172,15 @@ def test_real_frame_propagator_matches_the_complex_one(name):
 @pytest.mark.parametrize("name", ["fig3a", "fig3a_full9", "fig4a"])
 def test_propagator_ladder_levels_are_bitwise_propagators(name):
     sup = build_liouvillian(scenario_presets()[name])
+    times = np.array([0.107, 0.78125, 7.8125])
     for gen in (sup.matrix, sup.real_matrix):
-        for t_ns in (0.107, 0.78125, 7.8125):
-            ladder = dynamics._propagators(gen, t_ns)
-            assert len(ladder) > 1
-            for i, level in enumerate(reversed(ladder)):
-                assert np.array_equal(level, dynamics._propagator(gen, t_ns / 2**i)), (t_ns, i)
+        # one stack whose points take different squaring counts
+        rungs, squarings = dynamics._propagators(np.array([gen] * len(times)), times, 20)
+        assert 0 < squarings[0] < squarings[-1] <= 20
+        for rung, s, t_ns in zip(rungs, squarings, times.tolist()):
+            assert len(rung) == s + 1
+            for k, level in enumerate(rung):
+                assert np.array_equal(level, dynamics._propagator(gen, t_ns / 2**k)), (t_ns, k)
 
 
 def test_propagator_rejects_non_finite_generator(basis6, liouv6):
@@ -250,10 +253,10 @@ def test_characteristic_time_reuses_the_march_pade(liouv6, paper_mixture, monkey
     calls = []
     propagators = dynamics._propagators
 
-    def counting_propagators(gen, t_ns):
-        ladder = propagators(gen, t_ns)
-        calls.append((t_ns, len(ladder) - 1))
-        return ladder
+    def counting_propagators(gens, t_ns, below):
+        rungs, squarings = propagators(gens, t_ns, below)
+        calls.extend(zip(t_ns.tolist(), squarings))
+        return rungs, squarings
 
     monkeypatch.setattr(dynamics, "_propagators", counting_propagators)
     steady = steady_state(liouv6)
@@ -301,51 +304,6 @@ def test_characteristic_time_timeout(liouv6, paper_mixture):
     for t_max_ns in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(DomainError, match="t_max_ns must be positive and finite"):
             characteristic_time(liouv6, paper_mixture, t_max_ns=t_max_ns)
-
-
-def serial_characteristic_time(L, rho0, epsilon, t_max_ns):
-    """The step-by-step march, one distance per step, then the bisection on
-    half steps squared from one Padé at the finest width, in the real frame
-    that `characteristic_time` marches in.
-
-    Returns (t_hi, k_hit), or None when no step comes within epsilon.
-    """
-    target = steady_state(L).matrix
-    gen = L.real_matrix
-    dt = t_max_ns / dynamics._COARSE_STEPS
-    step = dynamics._propagator(gen, dt)
-
-    def dist(v):
-        return trace_distance_matrices(unvectorize_real(v, rho0.dim), target)
-
-    v = vectorize_real(rho0.matrix)
-    for k in range(1, dynamics._COARSE_STEPS + 1):
-        v_next = step @ v
-        if dist(v_next) <= epsilon:
-            break
-        v = v_next
-    else:
-        return None
-
-    def resolved(width, t_hi):
-        return width <= 0.01 * max(t_hi, dt * 1e-3)
-
-    t_lo, t_hi, width, depth = (k - 1) * dt, k * dt, dt, 0
-    while not resolved(dt / 2**depth, t_lo):
-        depth += 1
-    halves = [dynamics._propagator(gen, dt / 2**depth)] if depth else []
-    while len(halves) < depth:
-        halves.insert(0, halves[0] @ halves[0])
-    for prop in halves:
-        if resolved(width, t_hi):
-            break
-        width /= 2.0
-        v_mid = prop @ v
-        if dist(v_mid) <= epsilon:
-            t_hi = t_lo + width
-        else:
-            t_lo, v = t_lo + width, v_mid
-    return t_hi, k
 
 
 @pytest.mark.parametrize("k", [1, 16, 17, 256])
@@ -440,6 +398,34 @@ def test_screen_keeps_a_timed_out_march_off_the_eigensolver(monkeypatch):
     with pytest.raises(ConvergenceTimeoutError):
         characteristic_time(liouv, rho0, config.epsilon_T0, scenarios._t0_ceiling_ns(config))
     assert sum(rows) == 0
+
+
+def test_stacked_steady_state_keeps_a_failed_svd_to_its_point(liouv6):
+    broken = Superoperator(liouv6.basis, np.full((36, 36), np.nan))
+    with pytest.raises(np.linalg.LinAlgError):
+        steady_state(broken)
+    alone = steady_state(liouv6).matrix
+    first, failed, last = steady_state([liouv6, broken, liouv6])
+    assert isinstance(failed, np.linalg.LinAlgError)
+    assert first.tobytes() == last.tobytes() == alone.tobytes()
+
+
+def test_stacked_t0_search_keeps_each_failure_to_its_point(liouv6, paper_mixture):
+    steady = steady_state(liouv6)
+    alone = characteristic_time(liouv6, paper_mixture, 0.1, 30.0, steady)
+    solved, rejected, timed_out = characteristic_time(
+        [liouv6] * 3,
+        np.array([paper_mixture.matrix] * 3),
+        epsilon=0.1,
+        t_max_ns=[30.0, np.inf, 2.0],
+        steady=np.array([steady.matrix] * 3),
+    )
+    assert solved == alone
+    assert isinstance(rejected, DomainError) and "t_max_ns" in str(rejected)
+    assert isinstance(timed_out, ConvergenceTimeoutError)
+    # a point that starts at its steady state leaves the march to the others
+    states = np.array([steady.matrix, paper_mixture.matrix])
+    assert characteristic_time([liouv6] * 2, states, 0.1, 30.0, np.array([steady.matrix] * 2)) == [0.0, alone]
 
 
 def test_characteristic_time_rejects_states_on_another_basis():

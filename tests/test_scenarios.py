@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
+from conftest import sweep_rows_by_point
+from qdm import scenarios
 from qdm.errors import ConfigError, DegenerateSteadyStateError
 from qdm.params import CouplingParams, DotGeometry, DriveParams, MaterialParams
 from qdm.scenarios import (
@@ -191,3 +194,116 @@ def test_effective8_trajectory_matches_effective6_at_zero_tunneling():
     t8 = evolve(initial_state(cfg8, sup8.basis), sup8, ts)
     t6 = evolve(initial_state(presets["fig3a"], sup6.basis), sup6, ts)
     np.testing.assert_allclose(t8.concurrence, t6.concurrence, atol=1e-8)
+
+
+def test_sweep_T0_without_decay_gives_its_row_and_the_sweep_goes_on():
+    cfg = scenario_presets()["fig3b"]
+    undamped = dataclasses.replace(cfg, drive=dataclasses.replace(cfg.drive, gamma0=0.0, gamma1=0.0))
+    assert scenarios._t0_ceiling_ns(undamped) == math.inf  # not a ZeroDivisionError
+    failed, solved = sweep_T0(cfg, [20.0], [9.0], [0.0, 1.2]).rows
+    assert "null singular values" in failed[-1] and math.isnan(failed[4])
+    assert solved[-1] == "" and solved[4] > 0.0
+
+
+def _jitter(grid, rng):
+    """Each interior point moved by up to a tenth of the gap to its nearer
+    neighbour, as the benchmark moves them for a nonzero seed."""
+    out = list(grid)
+    for i in range(1, len(grid) - 1):
+        gap = min(grid[i] - grid[i - 1], grid[i + 1] - grid[i])
+        out[i] = grid[i] + rng.uniform(-0.1, 0.1) * gap
+    return out
+
+
+def _reprs(rows):
+    """Rows as reprs, so equal means bitwise equal floats, NaNs included."""
+    return [tuple(map(repr, row)) for row in rows]
+
+
+def _sweeps_against_the_loop(monkeypatch):
+    """Make every sweep also compute its rows point by point; return the list
+    of (stacked rows, point-by-point rows) it fills."""
+    pairs = []
+    sweep_rows = scenarios._sweep_rows
+
+    def both(points, configs):
+        rows = sweep_rows(points, configs)
+        pairs.append((rows, sweep_rows_by_point(points, configs)))
+        return rows
+
+    monkeypatch.setattr(scenarios, "_sweep_rows", both)
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_stacked_sweep_rows_equal_the_point_by_point_loop(seed, monkeypatch):
+    pairs = _sweeps_against_the_loop(monkeypatch)
+    presets = scenario_presets()
+    fig3b = presets["fig3b"]
+    omega = fig3b.drive.omega
+    grids = [np.linspace(0.1 * omega, omega, 15).tolist(), [0.0, 0.5, 1.0, 2.0, 4.0], [0.0, 1000.0, 2000.0, 3000.0]]
+    if seed:
+        rng = random.Random(seed)
+        grids = [_jitter(grid, rng) for grid in grids]
+    omega_m, temps, tes = grids
+    sweep_T0(fig3b, [omega], omega_m, [fig3b.drive.gamma0])
+    sweep_temperature(presets["fig4b"], temps, tes)
+    assert len(pairs) == 2
+    for rows, want in pairs:
+        assert _reprs(rows) == _reprs(want)
+
+
+def test_stacked_sweep_rows_keep_each_failure_to_its_point(monkeypatch):
+    pairs = _sweeps_against_the_loop(monkeypatch)
+    sw = sweep_T0(scenario_presets()["fig3b"], [20.0], [0.001, 2.0, 9.0], [0.0, 1.2])
+    errors = [row[-1] for row in sw.rows]
+    # degenerate without decay; at omega_m = 0.001 and 2 ueV the state
+    # converges after the 30 ns ceiling
+    assert all("null singular values" in e for e in errors[0::2])
+    assert all("not within" in e for e in errors[1:4:2]) and errors[5] == ""
+    ((rows, want),) = pairs
+    assert _reprs(rows) == _reprs(want)
+
+
+def test_sweep_stacks_stay_under_the_byte_cap(monkeypatch):
+    shapes = []
+    for name in ("svd", "solve"):
+        def recorded(a, *args, _solver=getattr(np.linalg, name), **kwargs):
+            if a.ndim == 3:
+                shapes.append(a.shape)
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    presets = scenario_presets()
+    sweep_T0(presets["fig3b"], [20.0], np.linspace(2.0, 20.0, 15).tolist(), [1.2])
+    sweep_temperature(presets["fig4b"], [0.0, 1.0, 4.0], [0.0, 1000.0, 2000.0, 3000.0])
+    sweep_T0(presets["fig3a_full9"], [20.0], [6.0, 9.0, 12.0], [1.2])
+    for n, d2, _ in shapes:
+        assert n == 1 or n * d2 * d2 * 8 <= scenarios._STACK_BYTES, (n, d2)
+    assert {(12, 36), (4, 64), (2, 81)} <= {shape[:2] for shape in shapes}
+
+
+def test_sweeps_call_each_solver_layer_once_per_chunk(monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(scenarios, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("steady_state", "characteristic_time", "initial_state"):
+        monkeypatch.setattr(scenarios, name, counted(name))
+    presets = scenario_presets()
+    # 15 effective6 points in chunks of 12
+    sweep_T0(presets["fig3b"], [20.0], np.linspace(2.0, 20.0, 15).tolist(), [1.2])
+    assert calls.count("steady_state") == calls.count("characteristic_time") == 2
+    assert calls.count("initial_state") == 1
+    calls.clear()
+    # 5 effective6 points at t_e = 0, and 15 effective8 points in chunks of 4
+    sweep_temperature(presets["fig4b"], [0.0, 0.5, 1.0, 2.0, 4.0], [0.0, 1000.0, 2000.0, 3000.0])
+    assert calls.count("steady_state") == calls.count("characteristic_time") == 5
+    assert calls.count("initial_state") == 2
