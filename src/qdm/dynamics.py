@@ -193,6 +193,8 @@ def _each_alone(core: Callable[..., list], *stacks) -> list:
 
 def _stack(L: Sequence[Superoperator]) -> np.ndarray:
     """The real matrices of same-basis generators as one (n, d^2, d^2) stack."""
+    if not L:
+        raise DomainError("no generators to stack")
     if any(op.basis.labels != L[0].basis.labels for op in L):
         raise DomainError("stacked generators must share one basis")
     return np.array([op.real_matrix for op in L])
@@ -220,7 +222,9 @@ def _steady_states(gens: np.ndarray) -> list:
     gens = gens[ok]
     a = gens.copy()
     a[:, 0] = np.arange(dim2) < dim  # the trace row
-    x = np.linalg.solve(a, np.eye(dim2, 1))
+    # b as a (1, d^2, 1) stack: numpy 1.x reads a b of rank a.ndim - 1 as
+    # a stack of vectors, not as one matrix for every point
+    x = np.linalg.solve(a, np.eye(dim2, 1)[None])
     r = gens @ x
     residuals = np.sqrt(r.swapaxes(-1, -2) @ r)[:, 0, 0].tolist()
     good = []
@@ -256,7 +260,7 @@ def steady_state(L: Superoperator | Sequence[Superoperator]) -> DensityMatrix | 
         (state,) = _each_alone(_steady_states, L.real_matrix[None])
         if isinstance(state, Exception):
             raise state
-        return DensityMatrix(L.basis, state)
+        return DensityMatrix._checked(L.basis, state)
     return _each_alone(_steady_states, _stack(L))
 
 
@@ -282,6 +286,16 @@ def _within(rows: np.ndarray, x_ss: np.ndarray, target: np.ndarray, epsilon: np.
     return near
 
 
+def _check_search(epsilon: np.ndarray, t_max_ns: np.ndarray) -> None:
+    """Raise DomainError unless every epsilon lies in (0, 1) and every
+    ceiling is positive and finite."""
+    for eps, t in zip(epsilon.tolist(), t_max_ns.tolist()):
+        if not 0.0 < eps < 1.0:
+            raise DomainError("epsilon must lie in (0, 1)")
+        if not (math.isfinite(t) and t > 0.0):
+            raise DomainError(f"t_max_ns must be positive and finite, got {t}")
+
+
 def _characteristic_times(
     gens: np.ndarray, rho0: np.ndarray, steady: np.ndarray, epsilon: np.ndarray, t_max_ns: np.ndarray
 ) -> list:
@@ -289,11 +303,7 @@ def _characteristic_times(
     its (n, d, d) initial and steady states and its `epsilon` and ceiling
     (n,): the T0 in ns or a ConvergenceTimeoutError. An invalid argument
     raises for the whole stack."""
-    for eps, t in zip(epsilon.tolist(), t_max_ns.tolist()):
-        if not 0.0 < eps < 1.0:
-            raise DomainError("epsilon must lie in (0, 1)")
-        if not (math.isfinite(t) and t > 0.0):
-            raise DomainError(f"t_max_ns must be positive and finite, got {t}")
+    _check_search(epsilon, t_max_ns)
     x_ss, x0 = vectorize_real(steady), vectorize_real(rho0)
     out: list = [0.0] * len(gens)
     todo = np.flatnonzero(~_within(x0[:, None], x_ss, steady, epsilon)[:, 0])
@@ -386,22 +396,30 @@ def characteristic_time(
     trace distance to `steady`, or to the steady state of L.
 
     A sequence of n same-basis generators is searched as one stack, with
-    one Padé evaluation and one march: `rho0` and `steady` are then (n, d, d)
-    stacks of checked states, `epsilon` and `t_max_ns` one value or one per
-    generator, and the result is a list holding each generator's T0 or the
-    error that generator raises alone.
+    one Padé evaluation and one march: `rho0` and `steady`, which must be
+    given, are then (n, d, d) stacks of checked states, `epsilon` and
+    `t_max_ns` one value or one per generator, and the result is a list
+    holding each generator's T0 or the error that generator raises alone.
     """
     single = isinstance(L, Superoperator)
+    n = 1 if single else len(L)
+    epsilon = np.full(n, epsilon, dtype=float)
+    t_max_ns = np.full(n, DEFAULT_T_MAX_NS if t_max_ns is None else t_max_ns, dtype=float)
     if single:
+        _check_search(epsilon, t_max_ns)
         rho_ss = steady if steady is not None else steady_state(L)
         if rho0.basis.labels != L.basis.labels or rho_ss.basis.labels != L.basis.labels:
             raise DomainError("initial state, steady state and generator bases differ")
         gens, rho0, steady = L.real_matrix[None], rho0.matrix[None], rho_ss.matrix[None]
     else:
-        gens = _stack(L)
-    n = len(gens)
-    epsilon = np.full(n, epsilon, dtype=float)
-    t_max_ns = np.full(n, DEFAULT_T_MAX_NS if t_max_ns is None else t_max_ns, dtype=float)
+        if steady is None:
+            raise DomainError("a stack of generators needs its steady states")
+        gens, rho0, steady = _stack(L), np.asarray(rho0), np.asarray(steady)
+        shape = (n, L[0].dim, L[0].dim)
+        if np.shape(rho0) != shape or np.shape(steady) != shape:
+            raise DomainError(
+                f"initial and steady states must be {shape} stacks, got {np.shape(rho0)} and {np.shape(steady)}"
+            )
     out = _each_alone(_characteristic_times, gens, rho0, steady, epsilon, t_max_ns)
     if not single:
         return out

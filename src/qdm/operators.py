@@ -72,6 +72,15 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _checked(cls, basis: ModelBasis, matrix: np.ndarray) -> DensityMatrix:
+        """Wrap a read-only (d, d) complex state that `physical_states` has
+        already passed, without checking it again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "basis", basis)
+        object.__setattr__(state, "matrix", matrix)
+        return state
+
     @property
     def dim(self) -> int:
         return self.basis.dim

@@ -276,7 +276,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         traj = evolve(rho0, liouv, config.times_ns())
     except QdmError as exc:
         raise type(exc)(f"scenario {config.name!r}: {exc}") from exc
-    return ScenarioResult(config, traj, DensityMatrix(liouv.basis, steady), t0, c_ss, leak_ss)
+    return ScenarioResult(config, traj, DensityMatrix._checked(liouv.basis, steady), t0, c_ss, leak_ss)
 
 
 @dataclass(frozen=True)

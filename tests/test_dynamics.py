@@ -21,7 +21,7 @@ from conftest import (
     unvectorize,
     vectorize,
 )
-from qdm import dynamics, scenarios
+from qdm import dynamics, operators, scenarios
 from qdm.basis import BasisKind, state_vector
 from qdm.dynamics import (
     adiabatic_validity,
@@ -294,9 +294,11 @@ def test_characteristic_time_shrinks_with_stronger_drive(paper_mixture, basis6):
     assert times[40.0] <= times[10.0]
 
 
-def test_characteristic_time_timeout(liouv6, paper_mixture):
+def test_characteristic_time_timeout(liouv6, paper_mixture, monkeypatch):
     with pytest.raises(ConvergenceTimeoutError):
         characteristic_time(liouv6, paper_mixture, epsilon=1e-9, t_max_ns=1.0)
+    # the bounds are checked before the steady state is solved
+    monkeypatch.setattr(np.linalg, "svd", None)
     with pytest.raises(DomainError):
         characteristic_time(liouv6, paper_mixture, epsilon=1.5)
     # a ceiling at or below 0 marched backwards into a timeout, a non-finite
@@ -426,6 +428,54 @@ def test_stacked_t0_search_keeps_each_failure_to_its_point(liouv6, paper_mixture
     # a point that starts at its steady state leaves the march to the others
     states = np.array([steady.matrix, paper_mixture.matrix])
     assert characteristic_time([liouv6] * 2, states, 0.1, 30.0, np.array([steady.matrix] * 2)) == [0.0, alone]
+
+
+def test_stacked_t0_search_rejects_missing_or_misshaped_states(liouv6, paper_mixture):
+    steady = steady_state(liouv6).matrix
+    rho0s = np.array([paper_mixture.matrix] * 2)
+    with pytest.raises(DomainError, match="needs its steady states"):
+        characteristic_time([liouv6] * 2, rho0s)
+    with pytest.raises(DomainError, match="stacks"):
+        characteristic_time([liouv6] * 2, rho0s, steady=steady)
+    with pytest.raises(DomainError, match="stacks"):
+        characteristic_time([liouv6] * 2, rho0s[:1], steady=np.array([steady] * 2))
+    with pytest.raises(DomainError, match="no generators"):
+        characteristic_time([], rho0s[:0], steady=rho0s[:0])
+
+
+def test_stacked_solves_give_b_the_rank_of_a(liouv6, paper_mixture, monkeypatch):
+    # numpy 1.x reads a b of rank a.ndim - 1 as a stack of vectors
+    ranks = []
+
+    def recorded(a, b, _solve=np.linalg.solve):
+        ranks.append((a.ndim, np.ndim(b)))
+        return _solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    steady_state([liouv6] * 2)
+    steady = steady_state(liouv6)
+    characteristic_time(liouv6, paper_mixture, steady=steady)
+    assert ranks and all(a == b for a, b in ranks), ranks
+
+
+def test_steady_states_are_checked_once(liouv6, monkeypatch):
+    calls = []
+
+    def counted(stack, _check=operators.physical_states):
+        calls.append(len(stack))
+        return _check(stack)
+
+    monkeypatch.setattr(operators, "physical_states", counted)
+    monkeypatch.setattr(dynamics, "physical_states", counted)
+    steady_state(liouv6)
+    assert calls == [1]
+    calls.clear()
+    steady_state([liouv6] * 3)
+    assert calls == [3]
+    calls.clear()
+    result = scenarios.run_scenario(scenario_presets()["fig3a"])
+    # the steady state once, then the initial state and the trajectory stack
+    assert calls.count(1) == 2 and calls.count(len(result.trajectory)) == 1
 
 
 def test_characteristic_time_rejects_states_on_another_basis():
