@@ -189,10 +189,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    presets = scenario_presets()
-    if args.preset not in ("fig3b", "fig4b"):
-        raise _CliError(EXIT_UNKNOWN_SCENARIO, f"unknown sweep preset {args.preset!r}")
-    config = presets[args.preset]
+    config = scenario_presets()[args.preset]
     out = _prepare_out(args.out)
     started = time.time()
     if args.preset == "fig3b":

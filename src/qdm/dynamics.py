@@ -86,11 +86,12 @@ def _propagators(gens: np.ndarray, t_ns: np.ndarray, below: int) -> tuple[list[l
 
     Padé [13/13] with scaling and squaring, on numpy's BLAS only, each matrix
     scaled by its own 2^-s_i; the stacked products and solve are the ones
-    each matrix takes alone. As scaling by 2^-s is exact, entry [i][k] is
-    bitwise the propagator that a call over t_i / 2^k returns. No module of
-    the package may call SciPy's linalg: its wheel loads a second OpenBLAS
-    whose idle threads spin on the cores numpy's threads need, and switching
-    between the two libraries made a sweep three times slower.
+    each matrix takes alone, and the whole stack is squared max(s) times, of
+    which point i keeps the squares up to s_i. As scaling by 2^-s is exact,
+    entry [i][k] is bitwise the propagator that a call over t_i / 2^k
+    returns. No module of the package may call SciPy's linalg: its wheel
+    loads a second OpenBLAS whose idle threads spin on the cores numpy's
+    threads need, and switching between the two made a sweep 3x slower.
     """
     a = gens * (t_ns / HBAR_UEV_NS)[:, None, None]
     norms = np.abs(a).sum(axis=-2).max(axis=-1).tolist()
@@ -116,20 +117,17 @@ def _propagators(gens: np.ndarray, t_ns: np.ndarray, below: int) -> tuple[list[l
     cur = np.linalg.solve(v, u)
     cur *= 2.0
     cur += ident
-    # row r of `cur` is exp(gens[i] t_i / 2^(s_i - j)), i = live[r]; each
-    # squaring makes a new stack, so the rungs kept are views never written
+    # after j squarings cur[i] is exp(gens[i] t_i / 2^(s_i - j)); squares past
+    # s_i may overflow, but are never kept. Each squaring makes a new stack, so
+    # the rungs kept are views never written
     rungs: list[list[np.ndarray]] = [[] for _ in s]
-    live = list(range(len(s)))
-    for j in range(max(s) + 1):
-        for r, i in enumerate(live):
-            if s[i] - j <= below:
-                rungs[i].append(cur[r])
-        more = [r for r, i in enumerate(live) if s[i] > j]
-        if not more:
-            break
-        if len(more) < len(live):
-            cur, live = cur[more], [live[r] for r in more]
-        cur = cur @ cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(max(s) + 1):
+            if j:
+                cur = cur @ cur
+            for i, s_i in enumerate(s):
+                if 0 <= s_i - j <= below:
+                    rungs[i].append(cur[i])
     return [r[::-1] for r in rungs], s
 
 
@@ -225,11 +223,12 @@ def _steady_states(gens: np.ndarray) -> list:
     # b as a (1, d^2, 1) stack: numpy 1.x reads a b of rank a.ndim - 1 as
     # a stack of vectors, not as one matrix for every point
     x = np.linalg.solve(a, np.eye(dim2, 1)[None])
-    r = gens @ x
-    residuals = np.sqrt(r.swapaxes(-1, -2) @ r)[:, 0, 0].tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual that is not finite fails below
+        r = gens @ x
+        residuals = np.sqrt(r.swapaxes(-1, -2) @ r)[:, 0, 0].tolist()
     good = []
     for n, residual in enumerate(residuals):
-        if residual > STEADY_RESIDUAL_TOL:
+        if not residual <= STEADY_RESIDUAL_TOL:
             out[ok[n]] = DegenerateSteadyStateError(f"steady-state residual {residual:.2e}")
         else:
             good.append(n)
@@ -296,6 +295,38 @@ def _check_search(epsilon: np.ndarray, t_max_ns: np.ndarray) -> None:
             raise DomainError(f"t_max_ns must be positive and finite, got {t}")
 
 
+def _bisect(rungs: list, gen: np.ndarray, v_lo: np.ndarray, k_hit: int, dt_ns: float, target: tuple) -> float:
+    """T0 in one point's crossing step [(k_hit - 1) dt, k_hit dt], bisected to
+    1% from the state `v_lo` at its start on the half steps `rungs[1:]`, or on
+    one Padé at the finest width when they are too coarse; `target` holds the
+    point's steady-state arguments of `_within`."""
+    def resolved(width: float, t_hi: float) -> bool:
+        return width <= 0.01 * max(t_hi, dt_ns * 1e-3)
+
+    # t_hi never drops below the lower end, so the halving stops by the
+    # depth whose width is 1% of it
+    t_lo, t_hi, width = (k_hit - 1) * dt_ns, k_hit * dt_ns, dt_ns
+    depth = 0
+    while not resolved(dt_ns / 2**depth, t_lo):
+        depth += 1
+    if depth < len(rungs):
+        halves = rungs[1:depth + 1]  # halves[i] advances by dt / 2^(i + 1)
+    else:
+        halves = [_propagator(gen, dt_ns / 2**depth)]
+        while len(halves) < depth:
+            halves.insert(0, halves[0] @ halves[0])
+    for prop in halves:
+        if resolved(width, t_hi):
+            break
+        width /= 2.0
+        v_mid = prop @ v_lo
+        if _within(v_mid[None, None], *target)[0, 0]:
+            t_hi = t_lo + width
+        else:
+            t_lo, v_lo = t_lo + width, v_mid
+    return t_hi
+
+
 def _characteristic_times(
     gens: np.ndarray, rho0: np.ndarray, steady: np.ndarray, epsilon: np.ndarray, t_max_ns: np.ndarray
 ) -> list:
@@ -304,77 +335,36 @@ def _characteristic_times(
     (n,): the T0 in ns or a ConvergenceTimeoutError. An invalid argument
     raises for the whole stack."""
     _check_search(epsilon, t_max_ns)
-    x_ss, x0 = vectorize_real(steady), vectorize_real(rho0)
-    out: list = [0.0] * len(gens)
-    todo = np.flatnonzero(~_within(x0[:, None], x_ss, steady, epsilon)[:, 0])
-    if not todo.size:
-        return out
-    if todo.size < len(gens):  # the points that start within epsilon keep T0 = 0
-        gens, x0, x_ss, steady, epsilon, t_max_ns = (
-            a[todo] for a in (gens, x0, x_ss, steady, epsilon, t_max_ns)
-        )
-
     dts = t_max_ns / _COARSE_STEPS
     rungs, _ = _propagators(gens, dts, _BISECTION_RUNGS)
     props = np.array([r[0] for r in rungs])  # the march steps
-    # row i of `block[j]` holds the coordinates of point live[j], k0 + i steps in
-    block = np.empty((len(gens), _MARCH_BLOCK + 1, x0.shape[-1]))
-    block[:, 0] = x0
-    live, targets = np.arange(len(gens)), (x_ss, steady, epsilon)
-    crossings = {}
+    if not np.isfinite(props).all():
+        raise DomainError("a march step's propagator is not finite")
+    out: list = [ConvergenceTimeoutError(f"state not within {eps} of the steady state by {t:.4g} ns")
+                 for eps, t in zip(epsilon.tolist(), t_max_ns.tolist())]  # unless the point crosses
+    # row k of `block[r]` holds the coordinates of point live[r], k0 + k steps in
+    block = np.empty((len(gens), _MARCH_BLOCK + 1, gens.shape[-1]))
+    block[:, 0] = vectorize_real(rho0)
+    live, targets = np.arange(len(gens)), (vectorize_real(steady), steady, epsilon)
     for k0 in range(0, _COARSE_STEPS, _MARCH_BLOCK):
         # a lone point steps by 2-D products, without the stack's per-call overhead
         prop, rows = (props[0], block[0]) if len(live) == 1 else (props, block[..., None].swapaxes(0, 1))
-        for i in range(1, _MARCH_BLOCK + 1):
-            np.matmul(prop, rows[i - 1], out=rows[i])
-        near = _within(block[:, 1:], *targets)
-        hits = np.flatnonzero(near.any(axis=1))
-        if hits.size:
-            for j in hits.tolist():
-                first = int(near[j].argmax())
-                crossings[int(live[j])] = (k0 + first + 1, block[j, first].copy())
-            if hits.size == len(live):
-                live = live[:0]
+        for k in range(1, _MARCH_BLOCK + 1):
+            np.matmul(prop, rows[k - 1], out=rows[k])
+        start = 1 if k0 else 0  # the first block also checks the start, where a hit is T0 = 0
+        near = _within(block[:, start:], *targets)
+        hit = near.any(axis=1)
+        if hit.any():
+            for r in np.flatnonzero(hit).tolist():
+                j, k = int(live[r]), start + int(near[r].argmax())  # block row of the first hit
+                target = tuple(a[r:r + 1] for a in targets)
+                out[j] = 0.0 if k0 + k == 0 else _bisect(
+                    rungs[j], gens[j], block[r, k - 1], k0 + k, dts[j].tolist(), target)
+            live, props, block = live[~hit], props[~hit], block[~hit]
+            targets = tuple(a[~hit] for a in targets)
+            if not live.size:
                 break
-            rest = np.delete(np.arange(len(live)), hits)
-            live, props, block = live[rest], props[rest], block[rest]
-            targets = tuple(a[rest] for a in targets)
         block[:, 0] = block[:, -1]
-    for j in live.tolist():
-        out[todo[j]] = ConvergenceTimeoutError(
-            f"state not within {epsilon[j].tolist()} of the steady state by {t_max_ns[j]:.4g} ns"
-        )
-
-    # bisect inside [(k_hit - 1) dt, k_hit dt]. t_hi never drops below the
-    # lower end, so the halving stops by the depth whose width is 1% of it
-    for j, (k_hit, v_lo) in crossings.items():
-        dt_ns = dts[j].tolist()
-        x_j, steady_j, epsilon_j = x_ss[j:j + 1], steady[j:j + 1], epsilon[j:j + 1]
-
-        def resolved(width: float, t_hi: float) -> bool:
-            return width <= 0.01 * max(t_hi, dt_ns * 1e-3)
-
-        t_lo, t_hi, width = (k_hit - 1) * dt_ns, k_hit * dt_ns, dt_ns
-        depth = 0
-        while not resolved(dt_ns / 2**depth, t_lo):
-            depth += 1
-        if depth < len(rungs[j]):
-            halves = rungs[j][1:depth + 1]  # halves[i] advances by dt / 2^(i + 1)
-        else:  # finer than the kept squarings: one Padé at the finest width
-            halves = [_propagator(gens[j], dt_ns / 2**depth)]
-            while len(halves) < depth:
-                halves.insert(0, halves[0] @ halves[0])
-        for prop in halves:
-            if resolved(width, t_hi):
-                break
-            width /= 2.0
-            v_mid = prop @ v_lo
-            t_mid = t_lo + width
-            if _within(v_mid[None, None], x_j, steady_j, epsilon_j)[0, 0]:
-                t_hi = t_mid
-            else:
-                t_lo, v_lo = t_mid, v_mid
-        out[todo[j]] = t_hi
     return out
 
 
@@ -389,7 +379,8 @@ def characteristic_time(
 
     Marches in the real frame over [0, t_max] in _COARSE_STEPS steps of one
     propagator, with one batched `_within` check per _MARCH_BLOCK steps, to
-    the first step within `epsilon`. Then bisects that step to 1% relative
+    the first step within `epsilon`; the first check also covers the start,
+    where a hit is T0 = 0. Then bisects that step to 1% relative
     precision on the half steps that the march step's Padé squared up
     through; only a crossing in the first step, which bisects deeper than
     the _BISECTION_RUNGS half steps kept, runs a second Padé. Distance is

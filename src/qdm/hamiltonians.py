@@ -25,7 +25,7 @@ from .basis import (
     restrict,
     state_vector,
 )
-from .errors import BasisMismatchError, DegenerateBasisError
+from .errors import BasisMismatchError, DegenerateBasisError, DomainError
 from .operators import OperatorMatrix
 from .params import CouplingParams, DriveParams
 
@@ -133,7 +133,10 @@ def dressed_basis(delta: float, t_e: float) -> DressedBasisInfo:
         theta = 0.0 if delta > 0 else -math.pi / 2
     else:
         theta = -0.5 * (math.pi / 2 - math.atan(delta / (2.0 * t_e)))
-    root = math.sqrt(4.0 * t_e**2 + delta**2)
+    try:
+        root = math.sqrt(4.0 * t_e**2 + delta**2)
+    except OverflowError:
+        raise DomainError(f"dressed energies overflow at delta = {delta}, t_e = {t_e}") from None
     e1 = 0.5 * (-delta + root)
     e2 = 0.5 * (-delta - root)
 

@@ -163,8 +163,13 @@ def _spectral_density_cached(
         th, w = _theta_rule(n)
         return 2 * np.pi * float(w @ integrand(th)) / _EV_TO_JOULE * 1e6  # J -> ueV
 
-    coarse = quadrature(48)
-    fine = quadrature(96)
+    # an overflow to inf may still give a finite J (exp(-inf) = 0); a J that
+    # is not finite raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = quadrature(48)
+        fine = quadrature(96)
+    if not math.isfinite(fine):
+        raise DomainError(f"spectral density at {omega_ueV} ueV is not finite")
     err = abs(fine - coarse)
     # The absolute floor (ueV) lets a J pass that the form factors drive to
     # underflow at high frequency. It is safe: J enters the generator as a
@@ -195,7 +200,10 @@ def spectral_density(
         raise DomainError("omega must be nonnegative")
     if parity not in ("plus", "minus"):
         raise DomainError(f"parity must be 'plus' or 'minus', got {parity!r}")
-    return _spectral_density_cached(float(omega_ueV), parity == "plus", geom, material)
+    try:
+        return _spectral_density_cached(float(omega_ueV), parity == "plus", geom, material)
+    except (ArithmeticError, ValueError) as exc:  # a float overflow, or sin(inf)
+        raise DomainError(f"spectral density at {omega_ueV} ueV is out of float range: {exc}") from None
 
 
 def bose_occupation(omega_ueV: float, temperature_K: float) -> float:

@@ -25,7 +25,7 @@ from .dissipators import (
 )
 from .dynamics import Trajectory, _each_alone, characteristic_time, evolve, steady_state
 from .entanglement import qubit_concurrences
-from .errors import ConfigError, QdmError
+from .errors import ConfigError, DomainError, QdmError
 from .hamiltonians import (
     build_effective_hamiltonian,
     build_effective_tunneling_hamiltonian,
@@ -42,13 +42,6 @@ from .params import (
 )
 
 _INITIAL_STATES = ("paper_mixture", "ground_00", "random")
-
-_MODEL_KIND = {
-    "effective6": BasisKind.EFFECTIVE6,
-    "effective8": BasisKind.EFFECTIVE8,
-    "full9": BasisKind.FULL9,
-    "full16": BasisKind.FULL16,
-}
 
 
 @dataclass(frozen=True)
@@ -70,8 +63,9 @@ class ScenarioConfig:
     epsilon_T0: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.model not in _MODEL_KIND:
-            raise ConfigError(f"unknown model {self.model!r}; choose from {tuple(_MODEL_KIND)}")
+        models = tuple(kind.value for kind in BasisKind)
+        if self.model not in models:
+            raise ConfigError(f"unknown model {self.model!r}; choose from {models}")
         if self.initial_state not in _INITIAL_STATES:
             raise ConfigError(
                 f"unknown initial_state {self.initial_state!r}; choose from {_INITIAL_STATES}"
@@ -157,7 +151,7 @@ def build_liouvillian(config: ScenarioConfig) -> Superoperator:
     else:
         if not config.tunneling:
             coupling = replace(coupling, t_e=0.0)
-        h = build_full_hamiltonian(drive, coupling, _MODEL_KIND[config.model])
+        h = build_full_hamiltonian(drive, coupling, BasisKind(config.model))
 
     collapse = spontaneous_collapse_ops(drive.gamma0, drive.gamma1, h.basis)
     if config.phonons:
@@ -236,13 +230,14 @@ def _solve(configs: list[ScenarioConfig]) -> Iterator[tuple[int, object]]:
     seed) of a model. Yields (index, outcome) chunk by chunk, so a sweep
     holds one chunk's generators at a time. The outcome is (generator,
     initial state, steady matrix, T0 ns, steady concurrence, steady leak),
-    or the error the config raises when solved alone.
+    or the error the config raises when solved alone, a LAPACK failure as a
+    DomainError.
     """
     models: dict[str, list[int]] = {}
     for i, config in enumerate(configs):
         models.setdefault(config.model, []).append(i)
     for model, members in models.items():
-        basis = make_basis(_MODEL_KIND[model])
+        basis = make_basis(BasisKind(model))
         initial: dict[tuple[str, int], DensityMatrix] = {}
         size = max(1, _STACK_BYTES // (8 * basis.dim**4))
         for start in range(0, len(members), size):
@@ -263,6 +258,8 @@ def _solve(configs: list[ScenarioConfig]) -> Iterator[tuple[int, object]]:
                 continue
             solved = _solve_chunk(basis, [configs[i] for i in chunk], liouvs, rho0s)
             for i, liouv, rho0, outcome in zip(chunk, liouvs, rho0s, solved):
+                if isinstance(outcome, np.linalg.LinAlgError):
+                    outcome = DomainError(f"linear algebra failed: {outcome}")
                 yield i, outcome if isinstance(outcome, Exception) else (liouv, rho0, *outcome)
 
 

@@ -45,6 +45,15 @@ def test_unknown_scenario_exit_code(tmp_path, capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+def test_unknown_sweep_preset_exits_before_the_sweep(tmp_path, capsys):
+    # argparse's choices reject it with exit code 2, before any command runs
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--preset", "fig3a", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unwritable_output_dir(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")

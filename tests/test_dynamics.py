@@ -430,6 +430,45 @@ def test_stacked_t0_search_keeps_each_failure_to_its_point(liouv6, paper_mixture
     assert characteristic_time([liouv6] * 2, states, 0.1, 30.0, np.array([steady.matrix] * 2)) == [0.0, alone]
 
 
+def test_stacked_t0_search_mixes_squaring_counts_bitwise(monkeypatch):
+    # ceilings 2, 30 and 2000 ns on fig3a: a timeout, an ordinary crossing and
+    # a first-step crossing that bisects past the kept squarings into a second
+    # Padé; then a point that starts at its steady state. The stack is squared
+    # for its largest count, and every point keeps only its own squares
+    config = scenario_presets()["fig3a"]
+    liouv = build_liouvillian(config)
+    rho0, steady = initial_state(config, liouv.basis), steady_state(liouv)
+    eps, ceilings = config.epsilon_T0, [2.0, 30.0, 2000.0, 30.0]
+    starts = [rho0, rho0, rho0, steady]
+
+    def alone(start, t_max):
+        try:
+            return characteristic_time(liouv, start, eps, t_max, steady)
+        except ConvergenceTimeoutError as exc:
+            return exc
+
+    want = [alone(start, t_max) for start, t_max in zip(starts, ceilings)]
+    calls = []
+    propagators = dynamics._propagators
+
+    def counting_propagators(gens, t_ns, below):
+        rungs, squarings = propagators(gens, t_ns, below)
+        calls.append(squarings)
+        return rungs, squarings
+
+    monkeypatch.setattr(dynamics, "_propagators", counting_propagators)
+    got = characteristic_time(
+        [liouv] * 4, np.array([s.matrix for s in starts]), eps, ceilings, np.array([steady.matrix] * 4)
+    )
+    assert len(set(calls[0])) == 3 and calls[1:] == [[0]]  # one stack, then the second Padé
+    assert isinstance(want[0], ConvergenceTimeoutError) and want[3] == 0.0
+    for g, w in zip(got, want):
+        if isinstance(w, Exception):
+            assert type(g) is type(w) and str(g) == str(w)
+        else:
+            assert type(g) is float and g.hex() == w.hex()
+
+
 def test_stacked_t0_search_rejects_missing_or_misshaped_states(liouv6, paper_mixture):
     steady = steady_state(liouv6).matrix
     rho0s = np.array([paper_mixture.matrix] * 2)

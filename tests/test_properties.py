@@ -1,5 +1,8 @@
 """Properties every configuration that ScenarioConfig accepts must satisfy."""
 
+import math
+from dataclasses import fields, replace
+
 import numpy as np
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
@@ -8,9 +11,16 @@ from conftest import trace_preservation_defect, vectorize
 from qdm.basis import state_vector
 from qdm.dynamics import evolve, steady_state
 from qdm.entanglement import qubit_concurrence
-from qdm.errors import ConfigError, DegenerateSteadyStateError
+from qdm.errors import ConfigError, DegenerateSteadyStateError, QdmError
 from qdm.params import CouplingParams, DriveParams
-from qdm.scenarios import ScenarioConfig, build_liouvillian, initial_state
+from qdm.scenarios import (
+    ScenarioConfig,
+    _solve,
+    _sweep_rows,
+    build_liouvillian,
+    initial_state,
+    scenario_presets,
+)
 
 
 @st.composite
@@ -84,3 +94,55 @@ def test_every_accepted_config_is_physical(config):
 
     # every snapshot is validated as a density matrix: a PositivityError fails here
     evolve(initial_state(config, liouv.basis), liouv, np.linspace(0.0, 2.0, 3))
+
+
+#: Values mixed into the preset fields: zero, finite ones at both ends of the
+#: float range, and the non-finite ones. Construction rejects the last
+#: always, so they are drawn a fifth of the time.
+_EXTREMES = (0.0, 1e300, -1e300, 1e-300) * 3 + (math.nan, math.inf, -math.inf)
+_FIELDS = [
+    (record, f.name)
+    for record in ("drive", "coupling", "geometry", "material")
+    for f in fields(getattr(ScenarioConfig(), record))
+] + [(None, "temperature"), (None, "epsilon_T0")]
+
+
+@st.composite
+def extreme_changes(draw):
+    """A preset name, and one to four of its fields, each with an extreme value."""
+    name = draw(st.sampled_from(sorted(scenario_presets())))
+    return name, draw(st.dictionaries(st.sampled_from(_FIELDS), st.sampled_from(_EXTREMES), min_size=1, max_size=4))
+
+
+def _changed(config, changes):
+    for (record, name), value in changes.items():
+        if record is None:
+            config = replace(config, **{name: value})
+        else:
+            config = replace(config, **{record: replace(getattr(config, record), **{name: value})})
+    return config
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(extreme_changes())
+def test_every_extreme_config_is_rejected_or_solved(drawn):
+    # under the suite's RuntimeWarning gate: no float overflow may escape either
+    name, changes = drawn
+    preset = scenario_presets()[name]
+    try:
+        config = _changed(preset, changes)
+    except ConfigError:
+        return
+    ((_, outcome),) = _solve([config])
+    assert isinstance(outcome, (tuple, QdmError)), repr(outcome)
+    # a two-point sweep holding the point returns both rows, and the preset's
+    # row is the one it gets when swept alone
+    extreme, neighbour = _sweep_rows([(0,), (1,)], [config, preset])
+    assert (extreme[-1] != "") == isinstance(outcome, QdmError)
+    assert neighbour == _sweep_rows([(1,)], [preset])[0]

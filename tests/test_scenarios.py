@@ -7,7 +7,7 @@ import pytest
 
 from conftest import sweep_rows_by_point
 from qdm import scenarios
-from qdm.errors import ConfigError, DegenerateSteadyStateError
+from qdm.errors import ConfigError, DegenerateSteadyStateError, QdmError
 from qdm.params import CouplingParams, DotGeometry, DriveParams, MaterialParams
 from qdm.scenarios import (
     ScenarioConfig,
@@ -72,6 +72,38 @@ def test_config_rejects_non_finite_temperature_and_grid():
 def test_config_error_is_a_value_error():
     with pytest.raises(ValueError):
         DriveParams(omega=-1.0)
+
+
+#: One finite field of fig4a at an end of the float range, each of which
+#: once ended a run with a bare OverflowError, ValueError or LinAlgError.
+_OVERFLOW_PROBES = [
+    ("drive", "omega", 1e300),
+    *[("coupling", name, v) for name in ("v_f", "t_e", "omega", "omega_t") for v in (1e300, -1e300)],
+    *[("geometry", name, 1e300) for name in ("l_par_e", "l_par_h", "l_perp", "d")],
+    ("material", "mass_density", 1e-300),
+    ("material", "c_s", 1e-300),
+    ("material", "c_s", 1e300),
+    *[("material", name, v) for name in ("d_e", "d_h", "m_p") for v in (1e300, -1e300)],
+]
+
+
+# the drive.omega probe also draws the builder's warning that the pump is strong
+@pytest.mark.filterwarnings("ignore:pump Rabi frequency:UserWarning")
+@pytest.mark.parametrize("record, name, value", _OVERFLOW_PROBES)
+def test_extreme_finite_fields_raise_qdm_errors(record, name, value):
+    fig4a = scenario_presets()["fig4a"]
+    config = dataclasses.replace(fig4a, **{record: dataclasses.replace(getattr(fig4a, record), **{name: value})})
+    with pytest.raises(QdmError):
+        run_scenario(config)
+
+
+def test_sweep_keeps_its_rows_past_a_spectral_density_overflow():
+    fig4b = scenario_presets()["fig4b"]
+    config = dataclasses.replace(fig4b, geometry=dataclasses.replace(fig4b.geometry, d=1e300))
+    phonons_only, tunneling = sweep_temperature(config, [1.0], [0.0, 2000.0]).rows
+    # sin(q d) overflows only at the 20 meV Bohr frequencies of the 8-state model
+    assert phonons_only[-1] == ""
+    assert math.isnan(tunneling[2]) and "spectral density" in tunneling[-1]
 
 
 def test_full16_rejected_at_zero_tunneling():
