@@ -6,18 +6,16 @@ the saturation of the characteristic time at strong driving.
 Run:  python3 demos/02_characteristic_time.py
 """
 
-import numpy as np
+from qdm import HBAR_UEV_NS, sweep_T0
+from qdm.scenarios import sweep_presets
 
-from qdm import HBAR_UEV_NS, scenario_presets, sweep_T0
-
-presets = scenario_presets()
-base = presets["fig3b"]
-omega = base.drive.omega
-gamma = base.drive.gamma0
+# the grid of `qdm sweep --preset fig3b`
+_, base, grids = sweep_presets()["fig3b"]
+(omega,), (gamma,) = grids["omega_grid"], grids["gamma_grid"]
 
 print(f"T0 vs Raman coupling at pump {omega} ueV, decay {gamma} ueV per channel")
 print()
-result = sweep_T0(base, [omega], list(np.linspace(0.1 * omega, omega, 15)), [gamma])
+result = sweep_T0(base, **grids)
 print("  omega_m [ueV]   omega_m/omega   T0 [ns]")
 for _om, omm, _g, _c, t0, _leak, err in result.rows:
     t0_str = f"{t0:7.2f}" if not err else "   (not reached in window)"

@@ -20,7 +20,7 @@ geom = DotGeometry()
 material = MaterialParams()
 
 print("Zeeman splittings at B_x = 1 T (g_e = -0.46, g_h = -0.29):")
-e_e, e_h, d_h, d_v = zeeman_splittings(1.0, material.g_e, material.g_h)
+e_e, e_h, d_h, d_v = zeeman_splittings(1.0, -0.46, -0.29)
 print(f"  E_B_e = {e_e:.2f} ueV, E_B_h = {e_h:.2f} ueV")
 print(f"  |Delta_H| = {abs(d_h):.2f} ueV, |Delta_V| = {abs(d_v):.2f} ueV")
 print()

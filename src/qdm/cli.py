@@ -16,8 +16,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigError, QdmError
 from .params import CouplingParams, DotGeometry, DriveParams, MaterialParams
@@ -31,8 +29,7 @@ from .scenarios import (
     ScenarioConfig,
     run_scenario,
     scenario_presets,
-    sweep_T0,
-    sweep_temperature,
+    sweep_presets,
 )
 
 EXIT_OK = 0
@@ -161,7 +158,7 @@ def _write_manifest(out: Path, config: ScenarioConfig, summary: dict, files: lis
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_scenario(args.scenario)
     out = _prepare_out(args.out)
-    started = time.time()
+    started = time.perf_counter()
     result = run_scenario(config)
     traj = result.trajectory
     header = ["t_ns", "concurrence", "leak"] + [f"p_{lab}" for lab in traj.basis.labels]
@@ -178,7 +175,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "steady_leak": result.steady_leak,
         "final_concurrence": float(traj.concurrence[-1]),
         "max_leak": float(traj.leak.max()),
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.perf_counter() - started,
     }
     _write_manifest(out, config, summary, ["trajectory.csv"])
     print(
@@ -189,29 +186,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = scenario_presets()[args.preset]
+    fn, config, grids = sweep_presets()[args.preset]
     out = _prepare_out(args.out)
-    started = time.time()
-    if args.preset == "fig3b":
-        omega = config.drive.omega
-        result = sweep_T0(
-            config,
-            omega_grid=[omega],
-            omega_m_grid=np.linspace(0.1 * omega, omega, 15).tolist(),
-            gamma_grid=[config.drive.gamma0],
-        )
-        summary: dict = {
-            "argmin_omega_m": {f"{k[0]}_{k[1]}": v for k, v in result.summary["argmin_omega_m"].items()},
-        }
-    else:
-        result = sweep_temperature(
-            config,
-            T_grid=[0.0, 0.5, 1.0, 2.0, 4.0],
-            te_grid=[0.0, 1000.0, 2000.0, 3000.0],
-        )
-        summary = {}
+    started = time.perf_counter()
+    result = fn(config, **grids)
     _write_csv(out / "sweep.csv", list(result.columns), [list(r) for r in result.rows])
-    summary["wall_time_s"] = time.time() - started
+    # JSON keys are strings: a grid-point tuple is written as its values joined by _
+    summary = {name: {"_".join(map(str, k)): v for k, v in t.items()} for name, t in result.summary.items()}
+    summary["wall_time_s"] = time.perf_counter() - started
     summary["rows"] = len(result.rows)
     _write_manifest(out, config, summary, ["sweep.csv"])
     print(f"sweep {args.preset}: {len(result.rows)} rows -> {out}")
@@ -255,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run a preset parameter sweep")
-    sweep_p.add_argument("--preset", required=True, choices=["fig3b", "fig4b"])
+    sweep_p.add_argument("--preset", required=True, choices=list(sweep_presets()))
     sweep_p.add_argument("--out", required=True)
     sweep_p.set_defaults(func=_cmd_sweep)
 

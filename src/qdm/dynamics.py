@@ -201,20 +201,28 @@ def _stack(L: Sequence[Superoperator]) -> np.ndarray:
 def _steady_states(gens: np.ndarray) -> list:
     """Steady states of an (n, d^2, d^2) stack of real generators: each a
     checked, read-only (d, d) state, or the DegenerateSteadyStateError of a
-    null space that is not one-dimensional or of a residual above tolerance.
+    null space that the singular values cannot resolve or that is not
+    one-dimensional, or of a residual above tolerance.
     A state that fails its check raises for the whole stack."""
     dim2 = gens.shape[-1]
     dim = math.isqrt(dim2)
     sv = np.linalg.svd(gens, compute_uv=False)
     nulls = (sv < NULL_SINGULAR_VALUE_TOL).sum(axis=-1).tolist()
     out: list = [None] * len(gens)
-    for i, count in enumerate(nulls):
-        if count != 1:
+    for i, (count, sv_max) in enumerate(zip(nulls, sv[:, 0].tolist())):
+        # singular values are accurate to about eps * sigma_max only
+        floor = np.finfo(float).eps * sv_max
+        if not floor < NULL_SINGULAR_VALUE_TOL:
+            out[i] = DegenerateSteadyStateError(
+                f"null space not resolvable: sigma_max {sv_max:.3e} puts the "
+                f"singular values' rounding floor at {floor:.3e}, not below {NULL_SINGULAR_VALUE_TOL}"
+            )
+        elif count != 1:
             out[i] = DegenerateSteadyStateError(
                 f"{count} null singular values below {NULL_SINGULAR_VALUE_TOL} "
                 f"(smallest: {np.array2string(sv[i, ::-1][:3], precision=3)})"
             )
-    ok = [i for i, count in enumerate(nulls) if count == 1]
+    ok = [i for i, state in enumerate(out) if state is None]
     if not ok:
         return out
     gens = gens[ok]
@@ -248,7 +256,9 @@ def steady_state(L: Superoperator | Sequence[Superoperator]) -> DensityMatrix | 
     side e_0, so the solution has unit trace by construction (QuTiP's
     "direct" method, Johansson, Nation & Nori, arXiv:1110.0573). Raises if
     the null space is not one-dimensional, counted as singular values of G
-    below NULL_SINGULAR_VALUE_TOL, or if the residual exceeds STEADY_RESIDUAL_TOL.
+    below NULL_SINGULAR_VALUE_TOL, if that count cannot be resolved (the
+    singular values' rounding floor, eps times the largest, is not below the
+    tolerance), or if the residual exceeds STEADY_RESIDUAL_TOL.
 
     A sequence of same-basis generators is solved as one stack, with one
     `svd`, one `solve` and one check of the states: the result is a list

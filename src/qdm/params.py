@@ -25,6 +25,10 @@ ELECTRON_MASS_SI = 9.1093837015e-31  # kg
 ELEMENTARY_CHARGE_SI = 1.602176634e-19  # C
 EPSILON_0_SI = 8.8541878128e-12  # F / m
 
+#: The paper's quoted Zeeman splittings (E_B_e, E_B_h) at B_x = 1 T, in ueV;
+#: they sum to its H-transition separation of -45.72 ueV. No run reads them.
+PAPER_ZEEMAN_SPLITTINGS_UEV = (-27.78, -17.94)
+
 #: Relative dielectric constant calibrated so that the Forster formula with the
 #: default geometry reproduces |V_F| = 0.2 meV (the vacuum value is 0.830 meV).
 EPS_R_CALIBRATED = 4.148
@@ -119,11 +123,10 @@ class DotGeometry:
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Bulk material and magnetic parameters (GaAs literature defaults).
+    """Bulk material parameters (GaAs literature defaults).
 
     Deformation potentials `d_e` / `d_h` are in eV, the piezoelectric constant
-    `m_p` in eV/nm, Zeeman splittings `e_b_e` / `e_b_h` in ueV (directly
-    settable; the quoted values are kept as the defaults).
+    `m_p` in eV/nm.
     """
 
     mass_density: float = 5370.0  # kg / m^3
@@ -131,11 +134,6 @@ class MaterialParams:
     d_e: float = 7.0
     d_h: float = -3.5
     m_p: float = 1.4
-    g_e: float = -0.46
-    g_h: float = -0.29
-    b_x: float = 1.0  # Tesla
-    e_b_e: float = -27.78
-    e_b_h: float = -17.94
 
     def __post_init__(self) -> None:
         _check_finite(self)

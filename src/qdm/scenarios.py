@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -278,21 +279,29 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Tabulated grid results; failed points carry a message in `error`."""
+    """Tabulated grid results; failed points carry a message in `error`.
+    Each `summary` entry is a table keyed by tuples of grid values."""
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     provenance: dict[str, str]
-    summary: dict[str, object]
+    summary: dict[str, dict]
 
 
-def _sweep_rows(points: list[tuple], configs: list[ScenarioConfig]) -> tuple[tuple, ...]:
-    """One row per point: its grid values, then steady concurrence, T0 ns,
-    steady leak and error message.
+def _sweep(
+    config: ScenarioConfig,
+    grid_columns: tuple[str, ...],
+    points: list[tuple],
+    configs: list[ScenarioConfig],
+) -> SweepResult:
+    """The sweep of `configs` around `config`, one row per point: its values
+    of `grid_columns`, then steady concurrence, T0 ns, leak and error message.
 
     The points are solved as stacks (`_solve`); a failed point gives NaNs and
     the message it gives when solved alone, and the others still run.
     """
+    if not points:
+        raise ConfigError("sweep grids must be nonempty")
     rows: list = [None] * len(points)
     for i, outcome in _solve(configs):
         if isinstance(outcome, Exception):
@@ -300,7 +309,9 @@ def _sweep_rows(points: list[tuple], configs: list[ScenarioConfig]) -> tuple[tup
         else:
             _, _, _, t0, c_ss, leak_ss = outcome
             rows[i] = (*points[i], c_ss, t0, leak_ss, "")
-    return tuple(rows)
+    columns = (*grid_columns, "concurrence_ss", "t0_ns", "leak", "error")
+    provenance = {"config_hash": config.config_hash(), "artifact_version": __version__}
+    return SweepResult(columns, tuple(rows), provenance, summary={})
 
 
 def sweep_T0(
@@ -311,41 +322,22 @@ def sweep_T0(
 ) -> SweepResult:
     """Characteristic time over the drive-parameter grid.
 
-    The summary maps each (omega, gamma) pair to the omega_m minimizing T0.
-    Gamma entries set both radiative channels.
+    The summary maps each (omega, gamma) pair to the omega_m minimizing T0,
+    and to that T0. Gamma entries set both radiative channels.
     """
-    if not (omega_grid and omega_m_grid and gamma_grid):
-        raise ConfigError("sweep grids must be nonempty")
-    points = [
-        (om, omm, g)
-        for om in omega_grid
-        for omm in omega_m_grid
-        for g in gamma_grid
-    ]
+    points = list(itertools.product(omega_grid, omega_m_grid, gamma_grid))
     configs = [
-        replace(
-            config,
-            drive=replace(config.drive, omega=om, omega_m=omm, gamma0=g, gamma1=g),
-        )
+        replace(config, drive=replace(config.drive, omega=om, omega_m=omm, gamma0=g, gamma1=g))
         for om, omm, g in points
     ]
-    rows = _sweep_rows(points, configs)
-
+    result = _sweep(config, ("omega_ueV", "omega_m_ueV", "gamma_ueV"), points, configs)
     argmin: dict[tuple[float, float], float] = {}
     best: dict[tuple[float, float], float] = {}
-    for om, omm, g, _c, t0, _leak, err in rows:
-        if err or math.isnan(t0):
-            continue
-        key = (om, g)
-        if key not in best or t0 < best[key]:
-            best[key] = t0
-            argmin[key] = omm
-    return SweepResult(
-        columns=("omega_ueV", "omega_m_ueV", "gamma_ueV", "concurrence_ss", "t0_ns", "leak", "error"),
-        rows=rows,
-        provenance={"config_hash": config.config_hash(), "artifact_version": __version__},
-        summary={"argmin_omega_m": argmin, "min_t0_ns": best},
-    )
+    for om, omm, g, _c, t0, _leak, _err in result.rows:
+        if t0 < best.get((om, g), math.inf):  # never so for a failed point's NaN
+            best[om, g], argmin[om, g] = t0, omm
+    result.summary.update(argmin_omega_m=argmin, min_t0_ns=best)
+    return result
 
 
 def sweep_temperature(
@@ -354,40 +346,33 @@ def sweep_temperature(
     te_grid: list[float],
 ) -> SweepResult:
     """Steady concurrence over the (temperature, tunneling-rate) grid."""
-    if not (T_grid and te_grid):
-        raise ConfigError("sweep grids must be nonempty")
     if not config.phonons:
         raise ConfigError("sweep_temperature requires phonons enabled")
-    points = [(t, te) for t in T_grid for te in te_grid]
-    configs = []
-    for temp, te in points:
-        coupling = CouplingParams.from_delta(
-            v_f=config.coupling.v_f,
-            v_xx=config.coupling.v_xx,
-            t_e=te,
-            delta=config.coupling.delta,
-            omega=config.coupling.omega,
+    points = list(itertools.product(T_grid, te_grid))
+    # the inter-dot trion sector decouples exactly at zero tunneling, leaving stationary
+    # trapped states; the physical point there is the phonons-only 6-state model
+    configs = [
+        replace(
+            config,
+            model=config.model if te != 0.0 else "effective6",
+            temperature=temp,
+            coupling=replace(config.coupling, t_e=te),
+            tunneling=te != 0.0,
         )
-        if te == 0.0:
-            # the inter-dot trion sector decouples exactly at zero tunneling,
-            # leaving stationary trapped states; the physical point is the
-            # phonons-only model on the 6-state basis
-            configs.append(
-                replace(
-                    config,
-                    model="effective6",
-                    temperature=temp,
-                    coupling=coupling,
-                    tunneling=False,
-                )
-            )
-        else:
-            configs.append(
-                replace(config, temperature=temp, coupling=coupling, tunneling=True)
-            )
-    return SweepResult(
-        columns=("T_K", "t_e_ueV", "concurrence_ss", "t0_ns", "leak", "error"),
-        rows=_sweep_rows(points, configs),
-        provenance={"config_hash": config.config_hash(), "artifact_version": __version__},
-        summary={},
-    )
+        for temp, te in points
+    ]
+    return _sweep(config, ("T_K", "t_e_ueV"), points, configs)
+
+
+def sweep_presets() -> dict[str, tuple[Callable[..., SweepResult], ScenarioConfig, dict]]:
+    """The figure sweeps that `qdm sweep` runs: name -> (sweep function,
+    preset config, grids), run as ``fn(config, **grids)``."""
+    presets = scenario_presets()
+    fig3b = presets["fig3b"]
+    omega, gamma = fig3b.drive.omega, fig3b.drive.gamma0
+    omega_m = np.linspace(0.1 * omega, omega, 15).tolist()
+    return {
+        "fig3b": (sweep_T0, fig3b, dict(omega_grid=[omega], omega_m_grid=omega_m, gamma_grid=[gamma])),
+        "fig4b": (sweep_temperature, presets["fig4b"],
+                  dict(T_grid=[0.0, 0.5, 1.0, 2.0, 4.0], te_grid=[0.0, 1000.0, 2000.0, 3000.0])),
+    }

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -8,8 +9,10 @@ from qdm.cli import (
     EXIT_SCHEMA,
     EXIT_UNKNOWN_SCENARIO,
     EXIT_UNWRITABLE,
+    build_parser,
     main,
 )
+from qdm.scenarios import sweep_presets
 
 EXPECTED_TRAJECTORY_HEADER = [
     "t_ns",
@@ -142,6 +145,35 @@ def test_sweep_csv_numeric_cells_parse_as_floats(tmp_path, preset):
                 float(cell)
             except ValueError:
                 pytest.fail(f"{preset} {name} cell {cell!r} is not a number")
+
+
+def test_sweep_preset_choices_are_the_catalog():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (preset,) = [a for a in commands.choices["sweep"]._actions if a.dest == "preset"]
+    assert list(preset.choices) == list(sweep_presets())
+
+
+@pytest.mark.parametrize("preset", list(sweep_presets()))
+def test_sweep_writes_the_catalog_sweep(tmp_path, preset):
+    out = tmp_path / preset
+    assert main(["sweep", "--preset", preset, "--out", str(out)]) == EXIT_OK
+    fn, config, grids = sweep_presets()[preset]
+    result = fn(config, **grids)
+    with (out / "sweep.csv").open() as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == list(result.columns)
+    assert rows == [[repr(c) if isinstance(c, float) else c for c in row] for row in result.rows]
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    for name, table in result.summary.items():
+        assert summary[name] == {"_".join(map(str, key)): value for key, value in table.items()}
+
+
+def test_dropped_material_field_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "zeeman.json"
+    path.write_text(json.dumps({"material": {"b_x": 2.0}}))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_SCHEMA
+    assert "b_x" in capsys.readouterr().err
 
 
 def test_seed_env_var(tmp_path, monkeypatch):

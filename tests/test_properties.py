@@ -16,7 +16,7 @@ from qdm.params import CouplingParams, DriveParams
 from qdm.scenarios import (
     ScenarioConfig,
     _solve,
-    _sweep_rows,
+    _sweep,
     build_liouvillian,
     initial_state,
     scenario_presets,
@@ -143,6 +143,6 @@ def test_every_extreme_config_is_rejected_or_solved(drawn):
     assert isinstance(outcome, (tuple, QdmError)), repr(outcome)
     # a two-point sweep holding the point returns both rows, and the preset's
     # row is the one it gets when swept alone
-    extreme, neighbour = _sweep_rows([(0,), (1,)], [config, preset])
+    extreme, neighbour = _sweep(preset, ("point",), [(0,), (1,)], [config, preset]).rows
     assert (extreme[-1] != "") == isinstance(outcome, QdmError)
-    assert neighbour == _sweep_rows([(1,)], [preset])[0]
+    assert neighbour == _sweep(preset, ("point",), [(1,)], [preset]).rows[0]

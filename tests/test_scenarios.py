@@ -7,6 +7,7 @@ import pytest
 
 from conftest import sweep_rows_by_point
 from qdm import scenarios
+from qdm.dynamics import NULL_SINGULAR_VALUE_TOL
 from qdm.errors import ConfigError, DegenerateSteadyStateError, QdmError
 from qdm.params import CouplingParams, DotGeometry, DriveParams, MaterialParams
 from qdm.scenarios import (
@@ -15,6 +16,7 @@ from qdm.scenarios import (
     initial_state,
     run_scenario,
     scenario_presets,
+    sweep_presets,
     sweep_T0,
     sweep_temperature,
 )
@@ -95,6 +97,61 @@ def test_extreme_finite_fields_raise_qdm_errors(record, name, value):
     config = dataclasses.replace(fig4a, **{record: dataclasses.replace(getattr(fig4a, record), **{name: value})})
     with pytest.raises(QdmError):
         run_scenario(config)
+
+
+#: Fields at the top of the float range whose generators' singular values
+#: are too coarse to count a null space; each once ended in an error that
+#: named another fault (a null count of 0, a singular trace-row solve, a
+#: march step that is not finite, a T0 timeout after ~1,000 squarings).
+_UNRESOLVABLE = [
+    ("fig3a", "drive", {"gamma1": 1e300}),
+    ("fig3a", "drive", {"omega_m": 0.0, "gamma1": 1e300}),
+    ("fig3a", "drive", {"omega": 1e300}),
+    ("fig3a_full9", "coupling", {"v_xx": 1e300}),
+]
+
+
+@pytest.mark.filterwarnings("ignore:pump Rabi frequency:UserWarning")
+@pytest.mark.parametrize("name, record, changes", _UNRESOLVABLE)
+def test_unresolvable_null_space_is_named(name, record, changes):
+    preset = scenario_presets()[name]
+    config = dataclasses.replace(preset, **{record: dataclasses.replace(getattr(preset, record), **changes)})
+    with pytest.raises(DegenerateSteadyStateError, match="null space not resolvable"):
+        run_scenario(config)
+    failed, solved = scenarios._sweep(preset, ("point",), [(0,), (1,)], [config, preset]).rows
+    assert "null space not resolvable" in failed[-1]
+    assert solved == scenarios._sweep(preset, ("point",), [(1,)], [preset]).rows[0]
+
+
+def test_presets_null_counts_resolve_with_room_to_spare():
+    presets = scenario_presets()
+    configs = dict(presets)
+    # the full16 point of the dressed resonance, the largest generator
+    configs["full16"] = dataclasses.replace(
+        presets["fig4a"], model="full16", drive=dataclasses.replace(presets["fig4a"].drive, detuning=398.0)
+    )
+    for name, config in configs.items():
+        sigma_max = np.linalg.svd(build_liouvillian(config).real_matrix, compute_uv=False)[0]
+        floor = np.finfo(float).eps * sigma_max
+        assert floor < 1e-2 * NULL_SINGULAR_VALUE_TOL, (name, floor)
+
+
+def test_sweep_presets_hold_the_figure_grids():
+    catalog = sweep_presets()
+    presets = scenario_presets()
+    assert list(catalog) == ["fig3b", "fig4b"]
+    fn, config, grids = catalog["fig3b"]
+    assert fn is sweep_T0 and config == presets["fig3b"]
+    assert list(grids) == ["omega_grid", "omega_m_grid", "gamma_grid"]
+    assert grids["omega_grid"] == [20.0] and grids["gamma_grid"] == [1.2]
+    omega_m = grids["omega_m_grid"]
+    # 15 evenly spaced points from 2 to 20 ueV, as plain floats
+    assert all(type(x) is float for x in omega_m)
+    assert omega_m[0] == 2.0 and omega_m[-1] == 20.0
+    assert omega_m == pytest.approx([2.0 + 18.0 * k / 14 for k in range(15)], rel=1e-15, abs=0.0)
+    fn, config, grids = catalog["fig4b"]
+    assert fn is sweep_temperature and config == presets["fig4b"]
+    assert grids == {"T_grid": [0.0, 0.5, 1.0, 2.0, 4.0], "te_grid": [0.0, 1000.0, 2000.0, 3000.0]}
 
 
 def test_sweep_keeps_its_rows_past_a_spectral_density_overflow():
@@ -256,14 +313,14 @@ def _sweeps_against_the_loop(monkeypatch):
     """Make every sweep also compute its rows point by point; return the list
     of (stacked rows, point-by-point rows) it fills."""
     pairs = []
-    sweep_rows = scenarios._sweep_rows
+    sweep = scenarios._sweep
 
-    def both(points, configs):
-        rows = sweep_rows(points, configs)
-        pairs.append((rows, sweep_rows_by_point(points, configs)))
-        return rows
+    def both(config, grid_columns, points, configs):
+        result = sweep(config, grid_columns, points, configs)
+        pairs.append((result.rows, sweep_rows_by_point(points, configs)))
+        return result
 
-    monkeypatch.setattr(scenarios, "_sweep_rows", both)
+    monkeypatch.setattr(scenarios, "_sweep", both)
     return pairs
 
 
