@@ -40,11 +40,38 @@ def zeeman_splittings(b_x: float, g_e: float, g_h: float) -> tuple[float, float,
     return e_b_e, e_b_h, e_b_e + e_b_h, e_b_e - e_b_h
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) at |x| < 1 from the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (p0 - x * p1) / (1.0 - x * x)
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], for n >= 2.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the Legendre recurrence (off-diagonal k / sqrt(4k^2 - 1)),
+    refined by one Newton step on P_n and made symmetric about 0; the weights
+    are 2 / ((1 - x^2) P_n'(x)^2) at the refined nodes.
+    """
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p, dp = _legendre(n, x)
+    x = x - p / dp
+    x = (x - x[::-1]) / 2.0
+    dp = _legendre(n, x)[1]
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
 @functools.cache
 def _forster_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     # substitute t = sin(u) to remove the 1/sqrt(1 - t^2) endpoint singularity;
-    # cached, as leggauss(400) alone takes about 20 ms. Returns t^2 and weights
-    u, w = np.polynomial.legendre.leggauss(order)
+    # cached, as the 400-node rule takes about 18 ms, two thirds of it in
+    # eigvalsh. Returns t^2 and weights
+    u, w = _gauss_legendre(order)
     u = (u + 1.0) * (np.pi / 4)
     return np.sin(u) ** 2, w * (np.pi / 4)
 
@@ -122,11 +149,19 @@ def form_factor(
 
 
 @functools.cache
-def _theta_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on theta in [0, pi], weights times the sin(theta) Jacobian."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    th = (x + 1.0) * (np.pi / 2)
-    return th, w * (np.pi / 2) * np.sin(th)
+def _theta_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 48- and 96-node Gauss-Legendre rules on theta in [0, pi], side by side.
+
+    Returns sin(theta), cos(theta) and the phi-averaged piezoelectric factor
+    sin^2(theta) (9 + 7 cos 2 theta) at the 144 nodes of both rules (the 48
+    first), then each rule's weights times the sin(theta) Jacobian. Built on
+    the first spectral density, not at import.
+    """
+    (x48, w48), (x96, w96) = _gauss_legendre(48), _gauss_legendre(96)
+    th = (np.concatenate([x48, x96]) + 1.0) * (np.pi / 2)
+    sin, cos = np.sin(th), np.cos(th)
+    w = np.concatenate([w48, w96]) * (np.pi / 2) * sin
+    return sin, cos, sin**2 * (9.0 + 7.0 * np.cos(2 * th)), w[:48], w[48:]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -146,28 +181,25 @@ def _spectral_density_cached(
     phase = q_si * geom.d * 1e-9
     sinc = math.sin(phase) / phase if phase > 1e-12 else 1.0
     sign = 1.0 if plus else -1.0
+    sin, cos, piezo, w_coarse, w_fine = _theta_rule()
+    n = len(w_coarse)
 
-    def integrand(th):
-        qp = q_nm * np.sin(th)
-        qz = q_nm * np.cos(th)
+    # an overflow to inf may still give a finite J (exp(-inf) = 0); a J that
+    # is not finite raises below. The integrand is evaluated once at the
+    # nodes of both rules; each sum reads only its own rule's nodes, so an
+    # overflow at a node of one cannot reach the other's sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        qp, qz = q_nm * sin, q_nm * cos
         ffe = form_factor(qp, qz, geom.l_par_e, geom.l_perp)
         ffh = form_factor(qp, qz, geom.l_par_h, geom.l_perp)
         g_d = w_ang**3 / (8 * np.pi**2 * mu * cs**5) * (de * ffe - dh * ffh) ** 2
         # phi average of the piezoelectric angular factor squared,
         # (m_p sin(th) / 4)^2 (9 + 7 cos 2th - 2 cos 4ph sin^2 th): cos 4ph averages to 0
-        p2 = mp_si**2 / 16.0 * np.sin(th) ** 2 * (9.0 + 7.0 * np.cos(2 * th))
+        p2 = mp_si**2 / 16.0 * piezo
         g_p = w_ang * p2 / (8 * np.pi**2 * mu * cs**3) * (ffe - ffh) ** 2
-        return (1.0 + sign * sinc) * (g_d + g_p)
-
-    def quadrature(n):
-        th, w = _theta_rule(n)
-        return 2 * np.pi * float(w @ integrand(th)) / _EV_TO_JOULE * 1e6  # J -> ueV
-
-    # an overflow to inf may still give a finite J (exp(-inf) = 0); a J that
-    # is not finite raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        coarse = quadrature(48)
-        fine = quadrature(96)
+        f = (1.0 + sign * sinc) * (g_d + g_p)
+        coarse = 2 * np.pi * float(w_coarse @ f[:n]) / _EV_TO_JOULE * 1e6  # J -> ueV
+        fine = 2 * np.pi * float(w_fine @ f[n:]) / _EV_TO_JOULE * 1e6
     if not math.isfinite(fine):
         raise DomainError(f"spectral density at {omega_ueV} ueV is not finite")
     err = abs(fine - coarse)
@@ -196,6 +228,8 @@ def spectral_density(
     Gauss-Legendre rule in theta (with its sin(theta) Jacobian), at 48 and
     96 nodes; their difference is the error estimate. Vanishes at omega = 0.
     """
+    if not math.isfinite(omega_ueV):
+        raise DomainError(f"omega must be finite, got {omega_ueV}")
     if omega_ueV < 0:
         raise DomainError("omega must be nonnegative")
     if parity not in ("plus", "minus"):
@@ -208,6 +242,10 @@ def spectral_density(
 
 def bose_occupation(omega_ueV: float, temperature_K: float) -> float:
     """Thermal phonon number ``N = 1/(exp(omega/kT) - 1)``; 0 at T = 0."""
+    if not math.isfinite(omega_ueV):
+        raise DomainError(f"omega must be finite, got {omega_ueV}")
+    if not math.isfinite(temperature_K):
+        raise DomainError(f"temperature must be finite, got {temperature_K}")
     if omega_ueV <= 0:
         raise DomainError("bose_occupation needs omega > 0")
     if temperature_K < 0:

@@ -110,7 +110,9 @@ def test_calc_forster_and_wkb(capsys):
 
 def test_calc_spectral_density(capsys):
     assert main(["calc", "spectral-density", "--omega", "30", "--parity", "plus"]) == EXIT_OK
-    assert "J_plus" in capsys.readouterr().out
+    assert "J_plus(30.0 ueV) = 2.842865e-02 ueV" in capsys.readouterr().out
+    assert main(["calc", "spectral-density", "--omega", "20500", "--parity", "minus"]) == EXIT_OK
+    assert "J_minus(20500.0 ueV) = 1.279898e-04 ueV" in capsys.readouterr().out
 
 
 def test_sweep_fig3b(tmp_path):

@@ -211,18 +211,55 @@ def test_presets_build_no_quadrature_nodes():
     assert out.stdout.strip() == "0 0"
 
 
+def test_import_and_runs_leave_numpy_polynomial_unloaded():
+    """The quadrature rules are built with numpy.linalg alone: importing qdm,
+    running fig4a (phonons) and a Förster coupling load no numpy.polynomial."""
+    src = str(Path(physics.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys, qdm; qdm.run_scenario(qdm.scenario_presets()['fig4a']); "
+        "qdm.forster_coupling(qdm.DotGeometry()); "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_forster_nodes_are_built_once(monkeypatch):
     forster_coupling(DotGeometry())
     calls = []
-    leggauss = np.polynomial.legendre.leggauss
+    gauss_legendre = physics._gauss_legendre
 
-    def counting_leggauss(order):
-        calls.append(order)
-        return leggauss(order)
+    def counting_gauss_legendre(n):
+        calls.append(n)
+        return gauss_legendre(n)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    monkeypatch.setattr(physics, "_gauss_legendre", counting_gauss_legendre)
     assert forster_coupling(replace(DotGeometry(), eps_r=5.0)) < 0
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [48, 96, 200, 400])
+def test_gauss_legendre_integrates_even_monomials(n):
+    # an n-node rule is exact for degree < 2n: int_-1^1 x^2k dx = 2/(2k+1), k < n
+    x, w = physics._gauss_legendre(n)
+    k = np.arange(n)
+    errors = np.abs(w @ x[:, None] ** (2 * k) - 2.0 / (2 * k + 1))
+    assert errors.max() <= 5e-15
+
+
+@pytest.mark.parametrize("n", [48, 96])
+def test_gauss_legendre_matches_leggauss(n):
+    x, w = physics._gauss_legendre(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert np.abs(x - x_ref).max() <= 1e-15
+    assert np.abs(w / w_ref - 1.0).max() <= 1e-11
 
 
 def test_spectral_density_basic_properties():
@@ -264,3 +301,17 @@ def test_bose_occupation_limits_and_detailed_balance():
         bose_occupation(0.0, 1.0)
     with pytest.raises(DomainError):
         bose_occupation(30.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "omega, temperature, name",
+    [(math.nan, 1.0, "omega"), (30.0, math.nan, "temperature"), (30.0, math.inf, "temperature")],
+)
+def test_bose_occupation_rejects_non_finite_inputs(omega, temperature, name):
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        bose_occupation(omega, temperature)
+
+
+def test_spectral_density_rejects_non_finite_omega():
+    with pytest.raises(DomainError, match="omega must be finite"):
+        spectral_density(math.nan, "plus", DotGeometry(), MaterialParams())
