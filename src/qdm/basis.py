@@ -13,10 +13,17 @@ and ``|Aij> = (|ji> - |ij>)/sqrt(2)``. Each effective basis spans a subspace
 of a product basis (effective6 of full9, effective8 of full16), and its
 operators are the restrictions P^dag A P of the product-basis ones
 (`embedding`, `restrict`).
+
+The two dots are identical, so the swap U of the two dots is a symmetry of
+every model: on a product basis it maps ``|ab>`` to ``|ba>``, on an effective
+basis it keeps ``|Sij>``, ``|00>``, ``|11>`` and flips the sign of ``|Aij>``
+(`exchange`). `parity_split` turns such a signed swap into the orthonormal
+even-then-odd basis of its two eigenspaces.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -138,3 +145,57 @@ def restrict(basis: ModelBasis, ops: np.ndarray) -> np.ndarray:
     an ``(n, D, D)`` stack, restricted to the effective `basis`."""
     _, p = embedding(basis)
     return p.conj().T @ ops @ p
+
+
+def _swap_image(labels: tuple[str, ...], label: str) -> tuple[str, float]:
+    """The label U maps `label` to, and the sign it picks up."""
+    if len(label) == 3 and label[0] in ("S", "A"):
+        return label, 1.0 if label[0] == "S" else -1.0
+    if len(label) == 2 and label[::-1] in labels:
+        return label[::-1], 1.0
+    raise BasisMismatchError(f"state {label!r} has no image under the dot exchange")
+
+
+@cache
+def exchange(basis: ModelBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The dot swap U on `basis` as a signed permutation, read-only:
+    ``U e_i = sign[i] e_image[i]``, an involution."""
+    images = [_swap_image(basis.labels, lab) for lab in basis.labels]
+    image = np.array([basis.index(lab) for lab, _ in images])
+    sign = np.array([s for _, s in images])
+    for arr in (image, sign):
+        arr.setflags(write=False)
+    return image, sign
+
+
+def parity_split(image: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rows of a real orthogonal Q, and its count of even rows, for the
+    signed involution ``R e_i = sign[i] e_image[i]``: Q R Q^T is +1 on the
+    first rows, -1 on the rest. A fixed e_i is even or odd by its sign; a
+    pair i < m = image[i] gives (e_i + sign[i] e_m)/sqrt(2), even, and
+    (e_i - sign[i] e_m)/sqrt(2), odd. Rows keep the order of their lowest
+    index, so a fixed e_0 stays row 0."""
+    n = len(image)
+    even, odd = [], []
+    for i, (m, s) in enumerate(zip(image.tolist(), sign.tolist())):
+        if m == i:
+            row = np.zeros(n)
+            row[i] = 1.0
+            (even if s > 0 else odd).append(row)
+        elif i < m:
+            plus, minus = np.zeros(n), np.zeros(n)
+            plus[i] = minus[i] = math.sqrt(0.5)
+            plus[m], minus[m] = s * math.sqrt(0.5), -s * math.sqrt(0.5)
+            even.append(plus)
+            odd.append(minus)
+    return np.array(even + odd), len(even)
+
+
+@cache
+def exchange_basis(basis: ModelBasis) -> tuple[np.ndarray, int]:
+    """A real orthogonal V (read-only) whose columns are states of `basis`,
+    the exchange-even ones first, and their count."""
+    q, n_even = parity_split(*exchange(basis))
+    v = np.ascontiguousarray(q.T)
+    v.setflags(write=False)
+    return v, n_even

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisKind, ModelBasis, embedding, restrict
+from .basis import BasisKind, ModelBasis, embedding, exchange_basis, restrict
 from .errors import BasisMismatchError, DomainError
 from .hamiltonians import dot_operator_pair
 from .operators import OperatorMatrix, Superoperator
@@ -107,10 +107,27 @@ def _eigen_clusters(energies: np.ndarray) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
+def exchange_eigh(H: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of `H`, from one `eigh` in each
+    exchange-parity block (`exchange_basis`): the even ones first, then
+    the odd ones. Each eigenvector has a definite parity, which one `eigh` of
+    H does not give near-degenerate pairs of opposite parity."""
+    v, n_even = exchange_basis(H.basis)
+    energies, vecs = [], []
+    for part in (v[:, :n_even], v[:, n_even:]):
+        e, w = np.linalg.eigh(part.T @ H.matrix @ part)
+        energies.append(e)
+        vecs.append(part @ w)
+    return np.concatenate(energies), np.concatenate(vecs, axis=1)
+
+
 def phonon_eigenoperators(H: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Secular eigenoperator channels of `H` through the trion occupations.
 
-    For every pair of eigenvalue clusters (a, b) with Bohr frequency
+    The eigenvectors come from `exchange_eigh`, so each projector commutes
+    with the dot swap: the symmetric occupation couples clusters of one
+    parity, the antisymmetric one clusters of opposite parity, and no channel
+    is made of rounding noise between them. For every pair of eigenvalue clusters (a, b) with Bohr frequency
     ``omega = E_b - E_a`` above the cutoff, in row-major (a, b) order, the
     downward operators ``P = Pi_a O Pi_b`` for the symmetric and
     antisymmetric occupation couplings. Channels where both projections
@@ -120,7 +137,7 @@ def phonon_eigenoperators(H: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, np
     if not H.is_hermitian(tol=1e-9):
         raise BasisMismatchError("phonon channels require a Hermitian Hamiltonian")
     o_sym, o_asym = _dot_sums(H.basis, "s", "s")  # the trion occupations
-    energies, vecs = np.linalg.eigh(H.matrix)
+    energies, vecs = exchange_eigh(H)
     clusters = _eigen_clusters(energies)
     projectors = np.array([vecs[:, c] @ vecs[:, c].conj().T for c in clusters])
     mean_e = np.array([energies[c].mean() for c in clusters])

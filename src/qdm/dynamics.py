@@ -2,6 +2,13 @@
 
 Times at the API are nanoseconds; internally the generator acts in the
 hbar = 1 unit system, so every entry point converts through HBAR_UEV_NS.
+
+Every generator commutes with the dot exchange, so all three work on the
+blocks of `Superoperator.blocks`, in the sector coordinates of
+`operators.sectors`: a steady state solves the even block, which holds the
+trace, and a state is propagated on the blocks it occupies, the even one
+for every exchange-even state (`paper_mixture`, `ground_00`), both for a
+`random` one. States map back to the real frame by the fixed orthogonal Q^T.
 """
 
 from __future__ import annotations
@@ -17,8 +24,12 @@ from .entanglement import qubit_concurrences
 from .errors import ConvergenceTimeoutError, DegenerateSteadyStateError, DomainError, QdmError
 from .operators import (
     DensityMatrix,
+    Sectors,
     Superoperator,
+    from_sectors,
     physical_states,
+    sectors,
+    to_sectors,
     trace_distance_matrices,
     unvectorize_real,
     vectorize_real,
@@ -32,6 +43,7 @@ STEADY_RESIDUAL_TOL = 1e-9
 #: Default scan ceiling, 50 hbar / Gamma at the reference decay rate 1.2 ueV.
 DEFAULT_T_MAX_NS = 50.0 * HBAR_UEV_NS / 1.2
 
+#: About this many march steps cover a T0 search's ceiling.
 _COARSE_STEPS = 256
 _MARCH_BLOCK = 16  # coarse steps per batched distance evaluation
 #: Half steps below the march step that a T0 search keeps from its squarings:
@@ -86,10 +98,10 @@ def _propagators(gens: np.ndarray, t_ns: np.ndarray, below: int) -> tuple[list[l
 
     Padé [13/13] with scaling and squaring, on numpy's BLAS only, each matrix
     scaled by its own 2^-s_i; the stacked products and solve are the ones
-    each matrix takes alone, and the whole stack is squared max(s) times, of
-    which point i keeps the squares up to s_i. As scaling by 2^-s is exact,
-    entry [i][k] is bitwise the propagator that a call over t_i / 2^k
-    returns. No module of the package may call SciPy's linalg: its wheel
+    each matrix takes alone, and point i is squared s_i times, after which it
+    leaves the stack. As scaling by 2^-s is exact, entry [i][k] is bitwise
+    the propagator that a call over t_i / 2^k returns. Each kept rung is a
+    copy, so none holds a whole (n, D, D) square alive. No module of the package may call SciPy's linalg: its wheel
     loads a second OpenBLAS whose idle threads spin on the cores numpy's
     threads need, and switching between the two made a sweep 3x slower.
     """
@@ -117,17 +129,20 @@ def _propagators(gens: np.ndarray, t_ns: np.ndarray, below: int) -> tuple[list[l
     cur = np.linalg.solve(v, u)
     cur *= 2.0
     cur += ident
-    # after j squarings cur[i] is exp(gens[i] t_i / 2^(s_i - j)); squares past
-    # s_i may overflow, but are never kept. Each squaring makes a new stack, so
-    # the rungs kept are views never written
+    # after j squarings row r of cur is exp(gens[i] t_i / 2^(s_i - j)), i =
+    # live[r]; a square that overflows fails the caller's finiteness check
     rungs: list[list[np.ndarray]] = [[] for _ in s]
+    live = list(range(len(s)))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(max(s) + 1):
             if j:
                 cur = cur @ cur
-            for i, s_i in enumerate(s):
-                if 0 <= s_i - j <= below:
-                    rungs[i].append(cur[i])
+            for r, i in enumerate(live):
+                if s[i] - j <= below:
+                    rungs[i].append(cur[r].copy())
+            if any(s[i] == j for i in live):
+                keep = [r for r, i in enumerate(live) if s[i] > j]
+                cur, live = cur[keep], [live[r] for r in keep]
     return [r[::-1] for r in rungs], s
 
 
@@ -136,14 +151,43 @@ def _propagator(gen: np.ndarray, t_ns: float) -> np.ndarray:
     return _propagators(gen[None], np.array([t_ns], dtype=float), 0)[0][0][0]
 
 
+def _block_propagator(L: Superoperator, block: int, t_ns: float) -> np.ndarray:
+    """exp(G_b t) of block `block` of L: the one a T0 search left in `L.memo`
+    for this step, or a new Padé."""
+    prop = L.memo.get((block, t_ns))
+    return _propagator(L.blocks[block], t_ns) if prop is None else prop
+
+
+def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The block-diagonal matrix (or stack) of `mats`; one matrix is itself."""
+    if len(mats) == 1:
+        return mats[0]
+    sizes = [m.shape[-1] for m in mats]
+    out = np.zeros((*mats[0].shape[:-2], sum(sizes), sum(sizes)))
+    start = 0
+    for m, size in zip(mats, sizes):
+        out[..., start:start + size, start:start + size] = m
+        start += size
+    return out
+
+
+def _occupied(ys: np.ndarray, sec: Sectors) -> int:
+    """How many blocks the states `ys`, in sector coordinates, occupy: the
+    even one, which holds the trace, and the odd one if any state has a part
+    there."""
+    return 2 if ys[..., sec.n_even:].any() else 1
+
+
 def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Trajectory:
     """Propagate d(vec rho)/dt = L vec(rho) and snapshot on `t_grid_ns`.
 
-    Exact stepping in the real frame: one propagator exp(G dt), G =
-    `L.real_matrix`, per distinct grid step, applied by matrix-vector
-    products, so a uniform grid costs a single `expm`. Steps that differ by a
-    few ULP of the end time (the jitter of `np.diff` on a `linspace` grid)
-    share a propagator. One batched pass checks the snapshot stack, and the
+    Exact stepping in sector coordinates, on the blocks of `L.blocks` that
+    `rho0` occupies: one propagator exp(G_b dt) per block and distinct grid
+    step, applied by matrix-vector products, so a uniform grid costs a single
+    `expm` per block, none when a T0 search on L left that step's in
+    `L.memo`. Steps that differ by a few ULP of the end time (the jitter of
+    `np.diff` on a `linspace` grid) share a propagator. One batched pass
+    checks the snapshot stack, mapped back to the real frame, and the
     observables come off it, so trace drift or loss of positivity beyond
     tolerance surfaces as an error, not as corrupt data.
     """
@@ -158,18 +202,20 @@ def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Traj
     same_step = 16 * np.spacing(t_grid_ns[-1])
     props: dict[float, np.ndarray] = {}
     step_prop: dict[float, np.ndarray] = {}  # each step value's first match in `props`
-    dim = rho0.dim
-    vecs = np.empty((len(t_grid_ns), dim * dim))
-    vecs[0] = vectorize_real(rho0.matrix)
+    sec = sectors(L.basis)
+    y0 = to_sectors(vectorize_real(rho0.matrix), sec)
+    blocks = range(_occupied(y0, sec))
+    vecs = np.empty((len(t_grid_ns), sum(len(L.blocks[b]) for b in blocks)))
+    vecs[0] = y0[:vecs.shape[1]]
     for i, dt in enumerate(np.diff(t_grid_ns).tolist(), start=1):
         prop = step_prop.get(dt)
         if prop is None:
             key = next((s for s in props if abs(s - dt) <= same_step), dt)
             if key not in props:
-                props[key] = _propagator(L.real_matrix, dt)
+                props[key] = _block_diag([_block_propagator(L, b, key) for b in blocks])
             prop = step_prop[dt] = props[key]
         np.matmul(prop, vecs[i - 1], out=vecs[i])
-    stack = physical_states(unvectorize_real(vecs, dim))
+    stack = physical_states(unvectorize_real(from_sectors(vecs, sec), rho0.dim))
     conc, leak = qubit_concurrences(rho0.basis, stack)
     pops = {lab: stack[:, j, j].real for j, lab in enumerate(rho0.basis.labels)}
     return Trajectory(rho0.basis, t_grid_ns, stack, conc, leak, pops)
@@ -189,26 +235,28 @@ def _each_alone(core: Callable[..., list], *stacks) -> list:
     return [out for i in range(len(stacks[0])) for out in _each_alone(core, *(s[i:i + 1] for s in stacks))]
 
 
-def _stack(L: Sequence[Superoperator]) -> np.ndarray:
-    """The real matrices of same-basis generators as one (n, d^2, d^2) stack."""
+def _stack(L: Sequence[Superoperator]) -> list[Superoperator]:
+    """Same-basis generators to be solved as one stack, as a list."""
     if not L:
         raise DomainError("no generators to stack")
     if any(op.basis.labels != L[0].basis.labels for op in L):
         raise DomainError("stacked generators must share one basis")
-    return np.array([op.real_matrix for op in L])
+    return list(L)
 
 
-def _steady_states(gens: np.ndarray) -> list:
-    """Steady states of an (n, d^2, d^2) stack of real generators: each a
-    checked, read-only (d, d) state, or the DegenerateSteadyStateError of a
-    null space that the singular values cannot resolve or that is not
+def _steady_states(liouvs: Sequence[Superoperator]) -> list:
+    """Steady states of same-basis generators, from stacks of their blocks:
+    each a checked, read-only (d, d) state, or the DegenerateSteadyStateError
+    of a null space that the singular values cannot resolve or that is not
     one-dimensional, or of a residual above tolerance.
     A state that fails its check raises for the whole stack."""
-    dim2 = gens.shape[-1]
-    dim = math.isqrt(dim2)
-    sv = np.linalg.svd(gens, compute_uv=False)
+    sec, dim = sectors(liouvs[0].basis), liouvs[0].dim
+    even = np.array([L.blocks[0] for L in liouvs])
+    odd = np.array([L.blocks[1] for L in liouvs])
+    sv = np.concatenate([np.linalg.svd(even, compute_uv=False), np.linalg.svd(odd, compute_uv=False)], axis=-1)
+    sv = np.sort(sv, axis=-1)[:, ::-1]
     nulls = (sv < NULL_SINGULAR_VALUE_TOL).sum(axis=-1).tolist()
-    out: list = [None] * len(gens)
+    out: list = [None] * len(liouvs)
     for i, (count, sv_max) in enumerate(zip(nulls, sv[:, 0].tolist())):
         # singular values are accurate to about eps * sigma_max only
         floor = np.finfo(float).eps * sv_max
@@ -225,15 +273,14 @@ def _steady_states(gens: np.ndarray) -> list:
     ok = [i for i, state in enumerate(out) if state is None]
     if not ok:
         return out
-    gens = gens[ok]
-    a = gens.copy()
-    a[:, 0] = np.arange(dim2) < dim  # the trace row
-    # b as a (1, d^2, 1) stack: numpy 1.x reads a b of rank a.ndim - 1 as
+    a = even[ok]
+    a[:, 0] = sec.trace
+    # b as a (1, n, 1) stack: numpy 1.x reads a b of rank a.ndim - 1 as
     # a stack of vectors, not as one matrix for every point
-    x = np.linalg.solve(a, np.eye(dim2, 1)[None])
+    x = from_sectors(np.linalg.solve(a, np.eye(sec.n_even, 1)[None])[..., 0], sec)
     with np.errstate(over="ignore", invalid="ignore"):  # a residual that is not finite fails below
-        r = gens @ x
-        residuals = np.sqrt(r.swapaxes(-1, -2) @ r)[:, 0, 0].tolist()
+        r = [liouvs[i].real_matrix @ x_i for i, x_i in zip(ok, x)]
+        residuals = [float(np.sqrt(r_i @ r_i)) for r_i in r]
     good = []
     for n, residual in enumerate(residuals):
         if not residual <= STEADY_RESIDUAL_TOL:
@@ -241,7 +288,7 @@ def _steady_states(gens: np.ndarray) -> list:
         else:
             good.append(n)
     if good:
-        states = physical_states(unvectorize_real(x[good, :, 0], dim))
+        states = physical_states(unvectorize_real(x[good], dim))
         states.setflags(write=False)
         for n, state in zip(good, states):
             out[ok[n]] = state
@@ -251,35 +298,36 @@ def _steady_states(gens: np.ndarray) -> list:
 def steady_state(L: Superoperator | Sequence[Superoperator]) -> DensityMatrix | list:
     """The unique fixed point of the generator.
 
-    Direct solve in the real frame: G = `L.real_matrix` with its first row
-    (rho_00's equation) replaced by the trace row, against the right-hand
-    side e_0, so the solution has unit trace by construction (QuTiP's
-    "direct" method, Johansson, Nation & Nori, arXiv:1110.0573). Raises if
-    the null space is not one-dimensional, counted as singular values of G
-    below NULL_SINGULAR_VALUE_TOL, if that count cannot be resolved (the
-    singular values' rounding floor, eps times the largest, is not below the
-    tolerance), or if the residual exceeds STEADY_RESIDUAL_TOL.
+    Direct solve on the even block of G = `L.real_matrix` (`L.blocks`),
+    which holds the trace: its first row (rho_00's equation) replaced by the
+    trace row, against the right-hand side e_0, so the solution has unit
+    trace by construction (QuTiP's "direct" method, Johansson, Nation & Nori,
+    arXiv:1110.0573). Raises if the null space is not one-dimensional,
+    counted as singular values of both blocks below NULL_SINGULAR_VALUE_TOL,
+    if that count cannot be resolved (the singular values' rounding floor,
+    eps times the largest, is not below the tolerance), or if the residual
+    of the whole G exceeds STEADY_RESIDUAL_TOL.
 
     A sequence of same-basis generators is solved as one stack, with one
-    `svd`, one `solve` and one check of the states: the result is a list
+    `svd` per block, one `solve` and one check of the states: the result is a list
     holding each generator's checked, read-only (d, d) state, or the error
     that generator raises alone.
     """
     if isinstance(L, Superoperator):
-        (state,) = _each_alone(_steady_states, L.real_matrix[None])
+        (state,) = _each_alone(_steady_states, [L])
         if isinstance(state, Exception):
             raise state
         return DensityMatrix._checked(L.basis, state)
     return _each_alone(_steady_states, _stack(L))
 
 
-def _within(rows: np.ndarray, x_ss: np.ndarray, target: np.ndarray, epsilon: np.ndarray) -> np.ndarray:
-    """Whether each real-frame row of the (n, k, d^2) `rows` is within trace
-    distance `epsilon[i]` of the steady state `target[i]`, whose coordinates
-    are `x_ss[i]`.
+def _within(rows: np.ndarray, x_ss: np.ndarray, target: np.ndarray, epsilon: np.ndarray, sec: Sectors) -> np.ndarray:
+    """Whether each row of the (n, k, m) `rows`, the leading m sector
+    coordinates of a state, is within trace distance `epsilon[i]` of the
+    steady state `target[i]`, whose coordinates are `x_ss[i]`.
 
-    A norm screen decides most rows without the eigensolver. The frame is
-    unitary, so ||x - x_ss||_2 is the Frobenius norm of the traceless
+    A norm screen decides most rows without the eigensolver. The frame and
+    Q are orthogonal, so ||x - x_ss||_2 is the Frobenius norm of the traceless
     Hermitian difference, and a traceless Hermitian matrix has ||.||_F^2 <=
     2 D^2 (its positive and its negative eigenvalues each sum to D). A row
     with ||x - x_ss||_2^2 > 2 epsilon^2 (1 + _SCREEN_SLACK)^2 is thus out;
@@ -290,26 +338,47 @@ def _within(rows: np.ndarray, x_ss: np.ndarray, target: np.ndarray, epsilon: np.
     near = (diff * diff).sum(axis=-1) <= _SCREEN_SQUARED * (epsilon * epsilon)[:, None]
     point, row = np.nonzero(near)
     if point.size:
-        dist = trace_distance_matrices(unvectorize_real(rows[point, row], target.shape[-1]), target[point])
+        states = unvectorize_real(from_sectors(rows[point, row], sec), target.shape[-1])
+        dist = trace_distance_matrices(states, target[point])
         near[point, row] = dist <= epsilon[point]
     return near
 
 
-def _check_search(epsilon: np.ndarray, t_max_ns: np.ndarray) -> None:
+def _check_search(epsilon: np.ndarray, t_max_ns: np.ndarray, step_ns: np.ndarray) -> None:
     """Raise DomainError unless every epsilon lies in (0, 1) and every
-    ceiling is positive and finite."""
-    for eps, t in zip(epsilon.tolist(), t_max_ns.tolist()):
+    ceiling and grid step is positive and finite."""
+    for eps, t, step in zip(epsilon.tolist(), t_max_ns.tolist(), step_ns.tolist()):
         if not 0.0 < eps < 1.0:
             raise DomainError("epsilon must lie in (0, 1)")
         if not (math.isfinite(t) and t > 0.0):
             raise DomainError(f"t_max_ns must be positive and finite, got {t}")
+        if not (math.isfinite(step) and step > 0.0):
+            raise DomainError(f"step_ns must be positive and finite, got {step}")
 
 
-def _bisect(rungs: list, gen: np.ndarray, v_lo: np.ndarray, k_hit: int, dt_ns: float, target: tuple) -> float:
+def _grid_step(rungs: list, squarings: int, shift: int) -> np.ndarray | None:
+    """exp(G g) from the rungs of the march step g 2^shift, bitwise the Padé
+    `_propagator` computes over g, or None. For shift >= 0 it is rung
+    `shift`, if kept. For a march step finer than g it is rung 0 squared
+    -shift times, if that Padé was squared at all: its scaled norm then
+    exceeds theta_13, so a Padé over g has the same base and squares it
+    -shift times more."""
+    if shift >= 0:
+        return rungs[shift] if shift < len(rungs) else None
+    if not squarings:
+        return None
+    prop = rungs[0][None]
+    for _ in range(-shift):
+        prop = prop @ prop
+    return prop[0]
+
+
+def _bisect(rungs: list, gens: Sequence[np.ndarray], v_lo: np.ndarray, k_hit: int, dt_ns: float,
+            target: tuple, sec: Sectors) -> float:
     """T0 in one point's crossing step [(k_hit - 1) dt, k_hit dt], bisected to
     1% from the state `v_lo` at its start on the half steps `rungs[1:]`, or on
-    one Padé at the finest width when they are too coarse; `target` holds the
-    point's steady-state arguments of `_within`."""
+    one Padé per block of `gens` at the finest width when they are too
+    coarse; `target` holds the point's steady-state arguments of `_within`."""
     def resolved(width: float, t_hi: float) -> bool:
         return width <= 0.01 * max(t_hi, dt_ns * 1e-3)
 
@@ -322,7 +391,7 @@ def _bisect(rungs: list, gen: np.ndarray, v_lo: np.ndarray, k_hit: int, dt_ns: f
     if depth < len(rungs):
         halves = rungs[1:depth + 1]  # halves[i] advances by dt / 2^(i + 1)
     else:
-        halves = [_propagator(gen, dt_ns / 2**depth)]
+        halves = [_block_diag([_propagator(gen, dt_ns / 2**depth) for gen in gens])]
         while len(halves) < depth:
             halves.insert(0, halves[0] @ halves[0])
     for prop in halves:
@@ -330,7 +399,7 @@ def _bisect(rungs: list, gen: np.ndarray, v_lo: np.ndarray, k_hit: int, dt_ns: f
             break
         width /= 2.0
         v_mid = prop @ v_lo
-        if _within(v_mid[None, None], *target)[0, 0]:
+        if _within(v_mid[None, None], *target, sec)[0, 0]:
             t_hi = t_lo + width
         else:
             t_lo, v_lo = t_lo + width, v_mid
@@ -338,40 +407,59 @@ def _bisect(rungs: list, gen: np.ndarray, v_lo: np.ndarray, k_hit: int, dt_ns: f
 
 
 def _characteristic_times(
-    gens: np.ndarray, rho0: np.ndarray, steady: np.ndarray, epsilon: np.ndarray, t_max_ns: np.ndarray
+    liouvs: Sequence[Superoperator], rho0: np.ndarray, steady: np.ndarray, epsilon: np.ndarray,
+    t_max_ns: np.ndarray, step_ns: np.ndarray,
 ) -> list:
-    """T0 of each point of an (n, d^2, d^2) stack of real generators, from
-    its (n, d, d) initial and steady states and its `epsilon` and ceiling
-    (n,): the T0 in ns or a ConvergenceTimeoutError. An invalid argument
+    """T0 of each of the same-basis generators `liouvs`, from its (n, d, d)
+    initial and steady states and its `epsilon`, ceiling and grid step (n,):
+    the T0 in ns or a ConvergenceTimeoutError. Leaves each generator's
+    propagators over its grid step in its `memo`. An invalid argument
     raises for the whole stack."""
-    _check_search(epsilon, t_max_ns)
-    dts = t_max_ns / _COARSE_STEPS
-    rungs, _ = _propagators(gens, dts, _BISECTION_RUNGS)
+    _check_search(epsilon, t_max_ns, step_ns)
+    # the march step: the grid step times the power of two nearest t_max / _COARSE_STEPS
+    shifts = [round(math.log2(t) - math.log2(g) - math.log2(_COARSE_STEPS))
+              for t, g in zip(t_max_ns.tolist(), step_ns.tolist())]
+    dts = np.ldexp(step_ns, shifts)
+    steps = np.ceil(t_max_ns / dts)
+    sec = sectors(liouvs[0].basis)
+    ys0 = to_sectors(vectorize_real(rho0), sec)
+    blocks = range(_occupied(ys0, sec))
+    ladders = [_propagators(np.array([L.blocks[b] for L in liouvs]), dts, _BISECTION_RUNGS) for b in blocks]
+    for i, (L, step, shift) in enumerate(zip(liouvs, step_ns.tolist(), shifts)):
+        for b, (rungs, squarings) in enumerate(ladders):
+            grid = _grid_step(rungs[i], squarings[i], shift)
+            if grid is not None:
+                L.memo[b, step] = grid
+    # each point's rungs over its occupied blocks, as deep as every block's go
+    rungs = [[_block_diag(level) for level in zip(*(r[i] for r, _ in ladders))] for i in range(len(liouvs))]
     props = np.array([r[0] for r in rungs])  # the march steps
     if not np.isfinite(props).all():
         raise DomainError("a march step's propagator is not finite")
     out: list = [ConvergenceTimeoutError(f"state not within {eps} of the steady state by {t:.4g} ns")
                  for eps, t in zip(epsilon.tolist(), t_max_ns.tolist())]  # unless the point crosses
     # row k of `block[r]` holds the coordinates of point live[r], k0 + k steps in
-    block = np.empty((len(gens), _MARCH_BLOCK + 1, gens.shape[-1]))
-    block[:, 0] = vectorize_real(rho0)
-    live, targets = np.arange(len(gens)), (vectorize_real(steady), steady, epsilon)
-    for k0 in range(0, _COARSE_STEPS, _MARCH_BLOCK):
+    size = props.shape[-1]
+    block = np.empty((len(liouvs), _MARCH_BLOCK + 1, size))
+    block[:, 0] = ys0[:, :size]
+    live, targets = np.arange(len(liouvs)), (to_sectors(vectorize_real(steady), sec)[:, :size], steady, epsilon)
+    for k0 in range(0, int(steps.max()), _MARCH_BLOCK):
         # a lone point steps by 2-D products, without the stack's per-call overhead
         prop, rows = (props[0], block[0]) if len(live) == 1 else (props, block[..., None].swapaxes(0, 1))
         for k in range(1, _MARCH_BLOCK + 1):
             np.matmul(prop, rows[k - 1], out=rows[k])
         start = 1 if k0 else 0  # the first block also checks the start, where a hit is T0 = 0
-        near = _within(block[:, start:], *targets)
+        near = _within(block[:, start:], *targets, sec)
+        near &= np.arange(k0 + start, k0 + _MARCH_BLOCK + 1) <= steps[live, None]  # no step past the ceiling
         hit = near.any(axis=1)
-        if hit.any():
-            for r in np.flatnonzero(hit).tolist():
-                j, k = int(live[r]), start + int(near[r].argmax())  # block row of the first hit
-                target = tuple(a[r:r + 1] for a in targets)
-                out[j] = 0.0 if k0 + k == 0 else _bisect(
-                    rungs[j], gens[j], block[r, k - 1], k0 + k, dts[j].tolist(), target)
-            live, props, block = live[~hit], props[~hit], block[~hit]
-            targets = tuple(a[~hit] for a in targets)
+        for r in np.flatnonzero(hit).tolist():
+            j, k = int(live[r]), start + int(near[r].argmax())  # block row of the first hit
+            target = tuple(a[r:r + 1] for a in targets)
+            out[j] = 0.0 if k0 + k == 0 else _bisect(
+                rungs[j], liouvs[j].blocks[:len(blocks)], block[r, k - 1], k0 + k, dts[j].tolist(), target, sec)
+        done = hit | (steps[live] <= k0 + _MARCH_BLOCK)
+        if done.any():
+            live, props, block = live[~done], props[~done], block[~done]
+            targets = tuple(a[~done] for a in targets)
             if not live.size:
                 break
         block[:, 0] = block[:, -1]
@@ -384,44 +472,51 @@ def characteristic_time(
     epsilon: float | Sequence[float] = 0.01,
     t_max_ns: float | Sequence[float] | None = None,
     steady: DensityMatrix | np.ndarray | None = None,
+    step_ns: float | Sequence[float] | None = None,
 ) -> float | list:
     """First time (ns) the state comes within `epsilon` of the steady state.
 
-    Marches in the real frame over [0, t_max] in _COARSE_STEPS steps of one
-    propagator, with one batched `_within` check per _MARCH_BLOCK steps, to
-    the first step within `epsilon`; the first check also covers the start,
-    where a hit is T0 = 0. Then bisects that step to 1% relative
-    precision on the half steps that the march step's Padé squared up
-    through; only a crossing in the first step, which bisects deeper than
-    the _BISECTION_RUNGS half steps kept, runs a second Padé. Distance is
-    trace distance to `steady`, or to the steady state of L.
+    Marches over [0, t_max] on the blocks of L that the state occupies
+    (`evolve`), in steps of one propagator, with one batched `_within`
+    check per _MARCH_BLOCK steps, to the first step within `epsilon`; the
+    first check also covers the start, where a hit is T0 = 0. The march step
+    is the grid step `step_ns` of a run times the power of two nearest
+    t_max / _COARSE_STEPS, so the march's Padé also gives exp(G step_ns),
+    which it leaves in `L.memo` for `evolve`; without `step_ns` it is
+    t_max / _COARSE_STEPS. The march goes on until its step passes t_max.
+    Then bisects the crossing step to 1% relative precision on the half
+    steps that the march step's Padé squared up through; only a crossing in
+    the first step, which bisects deeper than the _BISECTION_RUNGS half steps
+    kept, runs a second Padé. Distance is trace distance to `steady`, or to
+    the steady state of L.
 
     A sequence of n same-basis generators is searched as one stack, with
     one Padé evaluation and one march: `rho0` and `steady`, which must be
-    given, are then (n, d, d) stacks of checked states, `epsilon` and
-    `t_max_ns` one value or one per generator, and the result is a list
+    given, are then (n, d, d) stacks of checked states, `epsilon`,
+    `t_max_ns` and `step_ns` one value or one per generator, and the result is a list
     holding each generator's T0 or the error that generator raises alone.
     """
     single = isinstance(L, Superoperator)
     n = 1 if single else len(L)
     epsilon = np.full(n, epsilon, dtype=float)
     t_max_ns = np.full(n, DEFAULT_T_MAX_NS if t_max_ns is None else t_max_ns, dtype=float)
+    step_ns = t_max_ns / _COARSE_STEPS if step_ns is None else np.full(n, step_ns, dtype=float)
     if single:
-        _check_search(epsilon, t_max_ns)
+        _check_search(epsilon, t_max_ns, step_ns)
         rho_ss = steady if steady is not None else steady_state(L)
         if rho0.basis.labels != L.basis.labels or rho_ss.basis.labels != L.basis.labels:
             raise DomainError("initial state, steady state and generator bases differ")
-        gens, rho0, steady = L.real_matrix[None], rho0.matrix[None], rho_ss.matrix[None]
+        liouvs, rho0, steady = [L], rho0.matrix[None], rho_ss.matrix[None]
     else:
         if steady is None:
             raise DomainError("a stack of generators needs its steady states")
-        gens, rho0, steady = _stack(L), np.asarray(rho0), np.asarray(steady)
+        liouvs, rho0, steady = _stack(L), np.asarray(rho0), np.asarray(steady)
         shape = (n, L[0].dim, L[0].dim)
         if np.shape(rho0) != shape or np.shape(steady) != shape:
             raise DomainError(
                 f"initial and steady states must be {shape} stacks, got {np.shape(rho0)} and {np.shape(steady)}"
             )
-    out = _each_alone(_characteristic_times, gens, rho0, steady, epsilon, t_max_ns)
+    out = _each_alone(_characteristic_times, liouvs, rho0, steady, epsilon, t_max_ns, step_ns)
     if not single:
         return out
     if isinstance(out[0], Exception):

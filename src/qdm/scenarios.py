@@ -195,7 +195,8 @@ def _solve_chunk(
     """Same-basis points solved as stacks: per point (steady matrix, T0 ns,
     steady concurrence, steady leak), or its first error of steady state,
     T0 and concurrence. The T0 ceilings are taken only where a steady state
-    was found."""
+    was found, and the T0 search marches on a power-of-two multiple of each
+    config's grid step, whose propagator it leaves for `evolve`."""
     out = steady_state(liouvs)
     solved = [n for n, state in enumerate(out) if not isinstance(state, Exception)]
     if not solved:
@@ -207,6 +208,7 @@ def _solve_chunk(
         epsilon=[configs[n].epsilon_T0 for n in solved],
         t_max_ns=[_t0_ceiling_ns(configs[n]) for n in solved],
         steady=stack,
+        step_ns=[configs[n].times_ns()[1] for n in solved],
     )
 
     def steady_concurrences(states: np.ndarray) -> list[tuple[float, float]]:

@@ -13,6 +13,7 @@ from qdm.dissipators import (
     _dot_sums,
     _eigen_clusters,
     assemble_liouvillian,
+    exchange_eigh,
     spontaneous_collapse_ops,
 )
 from qdm import dynamics, scenarios
@@ -117,6 +118,25 @@ def dense_frame(dim):
     return t
 
 
+def exchange_by_hand(basis):
+    """The dot swap U on `basis` as a dense matrix, read off the labels: a
+    product label ``ab`` goes to ``ba``, ``Sij`` (and ``00``, ``11``) stay
+    and ``Aij`` changes sign."""
+    u = np.zeros((basis.dim, basis.dim))
+    for i, label in enumerate(basis.labels):
+        if label.startswith(("S", "A")):
+            u[i, i] = 1.0 if label[0] == "S" else -1.0
+        else:
+            u[basis.index(label[::-1]), i] = 1.0
+    return u
+
+
+def exchange_superoperator(basis):
+    """S(rho) = U rho U^dag on column-stacked vec(rho): kron(conj(U), U)."""
+    u = exchange_by_hand(basis)
+    return np.kron(u.conj(), u)
+
+
 def full16_config():
     """full16 at the fig4a coupling, driven at its dressed resonance (400 ueV)."""
     fig4a = scenario_presets()["fig4a"]
@@ -158,9 +178,10 @@ def wootters_svd(blocks):
 
 def phonon_eigenoperators_loop(H):
     """(omega, p_sym, p_asym) per phonon channel of `H`, one cluster pair at a
-    time in row-major order: the reference for the stacked `phonon_eigenoperators`."""
+    time in row-major order, on the eigenvectors of `exchange_eigh`: the
+    reference for the stacked `phonon_eigenoperators`."""
     o_sym, o_asym = _dot_sums(H.basis, "s", "s")
-    energies, vecs = np.linalg.eigh(H.matrix)
+    energies, vecs = exchange_eigh(H)
     clusters = _eigen_clusters(energies)
     projectors = [vecs[:, c] @ vecs[:, c].conj().T for c in clusters]
     mean_e = [float(energies[c].mean()) for c in clusters]
@@ -334,9 +355,11 @@ def steady_state_by_point(L):
 
 
 def sweep_rows_by_point(points, configs):
-    """Sweep rows from a loop over the points, each solved alone: build,
-    initial state, steady state, T0 by the serial march, concurrence. The
-    reference for the stacked pipeline, whose rows must equal these bitwise."""
+    """Sweep rows from a loop over the points, each solved alone and without
+    the exchange split: build, initial state, steady state of the whole real
+    generator, T0 by the serial march in t_max / 256 steps, concurrence. The
+    unreduced reference for the pipeline, whose rows must agree with these
+    to the T0 search's 2 % and to 1e-12 in concurrence and leak."""
     rows = []
     for point, config in zip(points, configs):
         try:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import exchange_by_hand
 from qdm.basis import (
     BasisKind,
     ModelBasis,
     effective6,
     embedding,
     effective8,
+    exchange,
+    exchange_basis,
     full9,
     full16,
     make_basis,
@@ -88,3 +91,24 @@ def test_restrict_broadcasts_over_stacks():
     assert stack.shape == (3, 6, 6)
     for op, got in zip(ops, stack):
         np.testing.assert_allclose(got, restrict(effective6(), op), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("make, n_even", [(effective6, 5), (effective8, 7), (full9, 6), (full16, 10)])
+def test_exchange_is_the_dot_swap_and_splits_by_parity(make, n_even):
+    basis = make()
+    d = basis.dim
+    u = exchange_by_hand(basis)
+    image, sign = exchange(basis)
+    swap = np.zeros((d, d))
+    swap[image, np.arange(d)] = sign
+    assert np.array_equal(swap, u)
+    v, count = exchange_basis(basis)
+    assert count == n_even and not v.flags.writeable
+    assert np.abs(v.T @ v - np.eye(d)).max() < 1e-15
+    parity = np.diag([1.0] * n_even + [-1.0] * (d - n_even))
+    assert np.abs(v.T @ u @ v - parity).max() < 1e-15
+
+
+def test_exchange_rejects_a_label_without_an_image():
+    with pytest.raises(BasisMismatchError, match="no image"):
+        exchange(ModelBasis(BasisKind.EFFECTIVE6, ("00", "01", "x")))

@@ -8,6 +8,7 @@ import scipy.linalg as la
 from conftest import (
     apply,
     effective_spontaneous_by_hand,
+    exchange_by_hand,
     full16_config,
     lindblad_term,
     liouvillian_kron,
@@ -21,6 +22,7 @@ from qdm.basis import effective6, effective8, state_vector
 from qdm.dissipators import (
     CollapseSet,
     assemble_liouvillian,
+    exchange_eigh,
     phonon_dissipator,
     phonon_eigenoperators,
     spontaneous_collapse_ops,
@@ -155,8 +157,8 @@ def test_empty_collapse_set(drive, basis6):
 @pytest.mark.parametrize("case", ["fig4a_2K", "full16"])
 def test_stacked_assembly_matches_per_operator_sum(case, monkeypatch):
     config, n_ops = {
-        "fig4a_2K": (replace(scenarios.scenario_presets()["fig4a"], temperature=2.0), 56),
-        "full16": (full16_config(), 304),
+        "fig4a_2K": (replace(scenarios.scenario_presets()["fig4a"], temperature=2.0), 44),
+        "full16": (full16_config(), 244),
     }[case]
     parts = []
 
@@ -285,3 +287,42 @@ def test_phonon_generator_annihilates_the_gibbs_state(model, temperature, monkey
     weights = np.exp(-(energies - energies.min()) / (K_B_UEV_PER_K * temperature))
     gibbs = (vecs * (weights / weights.sum())) @ vecs.conj().T
     assert np.abs(sup.matrix @ vectorize(gibbs)).max() < 1e-15 * np.abs(sup.matrix).max()
+
+
+@pytest.mark.parametrize("model", ["fig3a", "fig3a_full9", "fig4a", "full16"])
+def test_exchange_eigh_gives_eigenvectors_of_definite_parity(model, monkeypatch):
+    config = full16_config() if model == "full16" else scenarios.scenario_presets()[model]
+    parts = []
+
+    def capture(h, collapse):
+        parts.append(h)
+        return assemble_liouvillian(h, collapse)
+
+    monkeypatch.setattr(scenarios, "assemble_liouvillian", capture)
+    scenarios.build_liouvillian(config)
+    (h,) = parts
+    energies, vecs = exchange_eigh(h)
+    scale = np.abs(h.matrix).max()
+    assert np.abs(vecs.conj().T @ vecs - np.eye(h.dim)).max() < 1e-13
+    assert np.abs(h.matrix @ vecs - vecs * energies).max() < 1e-12 * scale
+    assert np.abs(np.sort(energies) - np.linalg.eigh(h.matrix)[0]).max() < 1e-12 * scale
+    # U v = +-v, bitwise up to rounding, for every eigenvector
+    swapped = exchange_by_hand(h.basis) @ vecs
+    parity = np.sign((vecs.conj() * swapped).sum(axis=0).real)
+    assert np.abs(swapped - vecs * parity).max() < 1e-15
+
+
+def test_fig4a_phonon_channels_couple_only_matching_parities():
+    config = scenarios.scenario_presets()["fig4a"]
+    h = scenarios.build_effective_tunneling_hamiltonian(
+        config.drive, scenarios.dressed_basis(config.coupling.delta, config.coupling.t_e)
+    )
+    # 20 channels at 1 K, each with a down and an up jump; one eigh of the
+    # whole H gave 26, as its near-degenerate eigenvectors (1.4e-5 ueV apart)
+    # mixed the two parities
+    assert len(phonon_dissipator(h, 1.0, config.geometry, config.material)) == 40
+    u = exchange_by_hand(h.basis)
+    _, p_sym, p_asym = phonon_eigenoperators(h)
+    # the symmetric occupation is exchange-even, the antisymmetric one odd
+    assert np.abs(u @ p_sym @ u.T - p_sym).max() < 1e-15
+    assert np.abs(u @ p_asym @ u.T + p_asym).max() < 1e-15

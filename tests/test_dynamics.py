@@ -84,7 +84,7 @@ def test_evolve_uniform_grid_computes_one_expm(liouv6, paper_mixture, monkeypatc
     # np.diff of this grid takes 9 distinct values, a few ULP apart
     traj = evolve(paper_mixture, liouv6, np.linspace(0.0, 30.0, 201))
     assert len(traj) == 201
-    assert calls == [(36, 36)]
+    assert calls == [(26, 26)]  # the even block, which the mixture occupies alone
 
 
 def test_evolve_nonuniform_grid_matches_propagator(liouv6, paper_mixture):
@@ -181,6 +181,13 @@ def test_propagator_ladder_levels_are_bitwise_propagators(name):
             assert len(rung) == s + 1
             for k, level in enumerate(rung):
                 assert np.array_equal(level, dynamics._propagator(gen, t_ns / 2**k)), (t_ns, k)
+
+
+def test_kept_rungs_hold_no_square_of_the_stack_alive():
+    sup = build_liouvillian(scenario_presets()["fig3a"])
+    times = np.array([0.107, 0.78125, 7.8125])
+    rungs, _ = dynamics._propagators(np.array([sup.real_matrix] * len(times)), times, 20)
+    assert all(level.base is None and level.shape == (36, 36) for rung in rungs for level in rung)
 
 
 def test_propagator_rejects_non_finite_generator(basis6, liouv6):

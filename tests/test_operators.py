@@ -5,6 +5,7 @@ import scipy.linalg as la
 from conftest import (
     apply,
     dense_frame,
+    exchange_superoperator,
     full16_config,
     lindblad_term,
     random_density,
@@ -13,19 +14,23 @@ from conftest import (
     vectorize,
 )
 from qdm.basis import effective6
-from qdm.dynamics import evolve
+from qdm.dynamics import characteristic_time, evolve, steady_state
 from qdm.errors import BasisMismatchError, DomainError, PositivityError
 from qdm.operators import (
+    EXCHANGE_TOL,
     POSITIVITY_TOL,
     DensityMatrix,
     OperatorMatrix,
     Superoperator,
+    from_sectors,
     physical_states,
+    sectors,
+    to_sectors,
     trace_distance_matrices,
     unvectorize_real,
     vectorize_real,
 )
-from qdm.scenarios import build_liouvillian, scenario_presets
+from qdm.scenarios import build_liouvillian, initial_state, scenario_presets
 
 
 def test_vectorize_roundtrip():
@@ -254,3 +259,73 @@ def test_real_generator_rejects_a_non_hermitian_hamiltonian(basis6, liouv6, pape
         sup.real_matrix
     with pytest.raises(DomainError, match="Hermiticity"):
         evolve(paper_mixture, sup, np.linspace(0.0, 1.0, 3))
+
+
+_SECTOR_CASES = {"fig3a": (26, 10), "fig3a_full9": (45, 36), "fig4a": (50, 14), "full16": (136, 120)}
+
+
+def _sector_config(name):
+    return full16_config() if name == "full16" else scenario_presets()[name]
+
+
+@pytest.mark.parametrize("name", list(_SECTOR_CASES))
+def test_sectors_split_the_real_frame_by_exchange_parity(name):
+    basis = build_liouvillian(_sector_config(name)).basis
+    d = basis.dim
+    sec = sectors(basis)
+    n_even, n_odd = _SECTOR_CASES[name]
+    assert sec.n_even == n_even and d * d == n_even + n_odd
+    # the exchange superoperator in the real frame, from the dense frame T
+    frame = dense_frame(d)
+    swap = frame @ exchange_superoperator(basis) @ frame.conj().T
+    assert np.abs(swap.imag).max() < 1e-15
+    q = to_sectors(np.eye(d * d), sec).T  # the rows of Q
+    assert np.abs(q @ q.T - np.eye(d * d)).max() < 1e-15
+    parity = np.diag([1.0] * n_even + [-1.0] * n_odd)
+    assert np.abs(q @ swap.real @ q.T - parity).max() < 1e-15
+    if basis.kind.value.startswith("effective"):  # an index selection
+        assert set(np.unique(q)) == {0.0, 1.0}
+    # Q^T inverts Q, and the trace row reads the trace off the even coordinates
+    rho = random_density(d, 11)
+    y = to_sectors(vectorize_real(rho), sec)
+    assert np.abs(from_sectors(y, sec) - vectorize_real(rho)).max() < 1e-15
+    assert abs(sec.trace @ y[:n_even] - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("name", list(_SECTOR_CASES))
+def test_blocks_are_the_diagonal_blocks_of_the_generator_in_sector_coordinates(name):
+    sup = build_liouvillian(_sector_config(name))
+    sec = sectors(sup.basis)
+    q = to_sectors(np.eye(sup.dim**2), sec).T
+    split = q @ sup.real_matrix @ q.T
+    even, odd = sup.blocks
+    n = sec.n_even
+    scale = np.abs(sup.real_matrix).max()
+    assert np.abs(even - split[:n, :n]).max() <= 1e-14 * scale
+    assert np.abs(odd - split[n:, n:]).max() <= 1e-14 * scale
+    assert max(np.abs(split[:n, n:]).max(), np.abs(split[n:, :n]).max()) <= EXCHANGE_TOL * scale
+    assert not even.flags.writeable and not odd.flags.writeable
+
+
+def test_a_generator_that_breaks_the_dot_exchange_raises():
+    config = scenario_presets()["fig3a_full9"]
+    sup = build_liouvillian(config)
+    # the trion of dot 1 detuned by 1 ueV, dot 2's left alone
+    s1 = np.zeros((9, 9))
+    s1[[6, 7, 8], [6, 7, 8]] = 1.0  # s0, s1, ss: dot 1 in its trion level
+    ident = np.eye(9)
+    coherent = -1j * (np.kron(ident, s1) - np.kron(s1.T, ident))
+    broken = Superoperator(sup.basis, sup.matrix + coherent)
+    with pytest.raises(DomainError, match="breaks the dot exchange"):
+        broken.blocks
+    rho0 = initial_state(config, sup.basis)
+    for call in (
+        lambda: steady_state(broken),
+        lambda: evolve(rho0, broken, np.array([0.0, 1.0])),
+        lambda: characteristic_time(broken, rho0, steady=steady_state(sup)),
+    ):
+        with pytest.raises(DomainError, match="breaks the dot exchange"):
+            call()
+    # a part far below the bound is dropped
+    tiny = Superoperator(sup.basis, sup.matrix + 1e-3 * EXCHANGE_TOL * coherent)
+    tiny.blocks

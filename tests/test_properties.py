@@ -7,11 +7,12 @@ import numpy as np
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import trace_preservation_defect, vectorize
+from conftest import exchange_superoperator, trace_preservation_defect, vectorize
 from qdm.basis import state_vector
 from qdm.dynamics import evolve, steady_state
 from qdm.entanglement import qubit_concurrence
 from qdm.errors import ConfigError, DegenerateSteadyStateError, QdmError
+from qdm.operators import EXCHANGE_TOL
 from qdm.params import CouplingParams, DriveParams
 from qdm.scenarios import (
     ScenarioConfig,
@@ -146,3 +147,19 @@ def test_every_extreme_config_is_rejected_or_solved(drawn):
     extreme, neighbour = _sweep(preset, ("point",), [(0,), (1,)], [config, preset]).rows
     assert (extreme[-1] != "") == isinstance(outcome, QdmError)
     assert neighbour == _sweep(preset, ("point",), [(1,)], [preset]).rows[0]
+
+
+@settings(
+    max_examples=60,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(configs())
+def test_every_accepted_config_commutes_with_the_dot_exchange(config):
+    liouv = build_liouvillian(config)
+    m = liouv.matrix
+    swap = exchange_superoperator(liouv.basis)
+    assert np.abs(m @ swap - swap @ m).max() <= EXCHANGE_TOL * np.abs(m).max()
+    liouv.blocks  # the split drops no more than its bound

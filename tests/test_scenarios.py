@@ -5,9 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from conftest import sweep_rows_by_point
-from qdm import scenarios
-from qdm.dynamics import NULL_SINGULAR_VALUE_TOL
+from conftest import serial_characteristic_time, steady_state_by_point, sweep_rows_by_point
+from qdm import dynamics, scenarios
+from qdm.dynamics import NULL_SINGULAR_VALUE_TOL, characteristic_time
+from qdm.entanglement import qubit_concurrence
 from qdm.errors import ConfigError, DegenerateSteadyStateError, QdmError
 from qdm.params import CouplingParams, DotGeometry, DriveParams, MaterialParams
 from qdm.scenarios import (
@@ -310,14 +311,16 @@ def _reprs(rows):
 
 
 def _sweeps_against_the_loop(monkeypatch):
-    """Make every sweep also compute its rows point by point; return the list
-    of (stacked rows, point-by-point rows) it fills."""
+    """Make every sweep also solve each point alone, as a one-point sweep of
+    the same pipeline; return the list of (stacked rows, one-point rows) it
+    fills."""
     pairs = []
     sweep = scenarios._sweep
 
     def both(config, grid_columns, points, configs):
         result = sweep(config, grid_columns, points, configs)
-        pairs.append((result.rows, sweep_rows_by_point(points, configs)))
+        alone = tuple(sweep(config, grid_columns, [p], [c]).rows[0] for p, c in zip(points, configs))
+        pairs.append((result.rows, alone))
         return result
 
     monkeypatch.setattr(scenarios, "_sweep", both)
@@ -369,7 +372,8 @@ def test_sweep_stacks_stay_under_the_byte_cap(monkeypatch):
     sweep_T0(presets["fig3a_full9"], [20.0], [6.0, 9.0, 12.0], [1.2])
     for n, d2, _ in shapes:
         assert n == 1 or n * d2 * d2 * 8 <= scenarios._STACK_BYTES, (n, d2)
-    assert {(12, 36), (4, 64), (2, 81)} <= {shape[:2] for shape in shapes}
+    # the even blocks of 12 effective6, 4 effective8 and 2 full9 points
+    assert {(12, 26), (4, 50), (2, 45)} <= {shape[:2] for shape in shapes}
 
 
 def test_sweeps_call_each_solver_layer_once_per_chunk(monkeypatch):
@@ -396,3 +400,98 @@ def test_sweeps_call_each_solver_layer_once_per_chunk(monkeypatch):
     sweep_temperature(presets["fig4b"], [0.0, 0.5, 1.0, 2.0, 4.0], [0.0, 1000.0, 2000.0, 3000.0])
     assert calls.count("steady_state") == calls.count("characteristic_time") == 5
     assert calls.count("initial_state") == 2
+
+
+def _full16_point(**changes):
+    """The full16 point: fig4a's coupling at 1 K, driven at the dressed resonance 398 ueV."""
+    fig4a = scenario_presets()["fig4a"]
+    return dataclasses.replace(
+        fig4a, name="full16", model="full16", drive=dataclasses.replace(fig4a.drive, detuning=398.0), **changes
+    )
+
+
+_ORACLE_RUNS = {
+    **{name: (lambda name=name: scenario_presets()[name]) for name in ("fig3a", "fig3a_full9", "fig3b", "fig4a", "fig4b")},
+    "full16": _full16_point,
+    "fig3a_full9_random": lambda: dataclasses.replace(scenario_presets()["fig3a_full9"], initial_state="random", seed=5),
+    "fig4a_random": lambda: dataclasses.replace(scenario_presets()["fig4a"], initial_state="random", seed=5),
+    "full16_random": lambda: _full16_point(initial_state="random", seed=5),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_RUNS))
+def test_runs_match_the_unreduced_oracle(name):
+    """Steady concurrence and leak within 1e-12 of the whole real generator's
+    steady state, T0 within the T0 search's 2 % of the serial march in
+    t_max / 256 steps, and every snapshot within 1e-11 of propagation by
+    the whole real generator: two Padé evaluations differ by rounding, which
+    200 steps compound to at most 4.3e-12 (full16, random start)."""
+    config = _ORACLE_RUNS[name]()
+    result = run_scenario(config)
+    liouv = build_liouvillian(config)
+    rho0 = initial_state(config, liouv.basis)
+    steady = steady_state_by_point(liouv)
+    conc, leak = qubit_concurrence(steady)
+    assert abs(result.steady_concurrence - conc) <= 1e-12 and abs(result.steady_leak - leak) <= 1e-12
+    assert np.abs(result.steady.matrix - steady.matrix).max() <= 1e-12
+    t0, _ = serial_characteristic_time(liouv, rho0, config.epsilon_T0, scenarios._t0_ceiling_ns(config), steady)
+    assert abs(result.t0_ns - t0) <= 0.02 * t0, (result.t0_ns, t0)
+    step = dynamics._propagator(liouv.real_matrix, config.times_ns()[1])
+    x = dynamics.vectorize_real(rho0.matrix)
+    for k, state in enumerate(result.trajectory.matrices):
+        assert np.abs(state - dynamics.unvectorize_real(x, liouv.dim)).max() <= 1e-11, k
+        x = step @ x
+
+
+@pytest.mark.parametrize("preset", list(sweep_presets()))
+def test_sweep_presets_match_the_unreduced_oracle(preset, monkeypatch):
+    inputs = []
+    sweep = scenarios._sweep
+
+    def recorded(config, grid_columns, points, configs):
+        inputs.append((points, configs))
+        return sweep(config, grid_columns, points, configs)
+
+    monkeypatch.setattr(scenarios, "_sweep", recorded)
+    fn, config, grids = sweep_presets()[preset]
+    rows = fn(config, **grids).rows
+    ((points, configs),) = inputs
+    for row, want in zip(rows, sweep_rows_by_point(points, configs), strict=True):
+        assert row[:-4] == want[:-4] and row[-1] == want[-1]
+        (conc, t0, leak), (conc_want, t0_want, leak_want) = row[-4:-1], want[-4:-1]
+        if want[-1]:
+            assert all(math.isnan(v) for v in (conc, t0, leak))
+        else:
+            assert abs(conc - conc_want) <= 1e-12 and abs(leak - leak_want) <= 1e-12
+            assert abs(t0 - t0_want) <= 0.02 * t0_want, (row, want)
+
+
+@pytest.mark.parametrize("name, size", [("fig3a", 26), ("fig3a_full9", 45), ("fig4a", 50)])
+@pytest.mark.parametrize("t_grid", [None, (0.0, 1.0, 5)])
+def test_a_run_exponentiates_once_on_its_even_block(name, size, t_grid, monkeypatch):
+    """The T0 march's Padé gives the run's grid step too, on the even block
+    that the paper mixture occupies; also on the 1 ns grid, whose step is
+    four march steps."""
+    calls = []
+    propagators = dynamics._propagators
+
+    def counting(gens, t_ns, below):
+        calls.append(gens.shape)
+        return propagators(gens, t_ns, below)
+
+    monkeypatch.setattr(dynamics, "_propagators", counting)
+    config = scenario_presets()[name]
+    run_scenario(config if t_grid is None else dataclasses.replace(config, t_grid=t_grid))
+    assert calls == [(1, size, size)]
+
+
+@pytest.mark.parametrize("t_grid, shift", [((0.0, 50.0, 201), 0), ((0.0, 1.0, 5), -2), ((0.0, 50.0, 2001), 3)])
+def test_the_grid_step_a_t0_search_leaves_is_bitwise_its_pade(t_grid, shift):
+    config = dataclasses.replace(scenario_presets()["fig3a_full9"], t_grid=t_grid)
+    liouv = build_liouvillian(config)
+    rho0 = initial_state(config, liouv.basis)
+    step, t_max = config.times_ns()[1], scenarios._t0_ceiling_ns(config)
+    assert round(math.log2(t_max / 256 / step)) == shift
+    characteristic_time(liouv, rho0, config.epsilon_T0, t_max, step_ns=step)
+    assert list(liouv.memo) == [(0, step)]
+    assert np.array_equal(liouv.memo[0, step], dynamics._propagator(liouv.blocks[0], step))
