@@ -425,16 +425,16 @@ def _characteristic_times(
     ys0 = to_sectors(vectorize_real(rho0), sec)
     blocks = range(_occupied(ys0, sec))
     ladders = [_propagators(np.array([L.blocks[b] for L in liouvs]), dts, _BISECTION_RUNGS) for b in blocks]
-    for i, (L, step, shift) in enumerate(zip(liouvs, step_ns.tolist(), shifts)):
-        for b, (rungs, squarings) in enumerate(ladders):
-            grid = _grid_step(rungs[i], squarings[i], shift)
-            if grid is not None:
-                L.memo[b, step] = grid
     # each point's rungs over its occupied blocks, as deep as every block's go
     rungs = [[_block_diag(level) for level in zip(*(r[i] for r, _ in ladders))] for i in range(len(liouvs))]
     props = np.array([r[0] for r in rungs])  # the march steps
     if not np.isfinite(props).all():
         raise DomainError("a march step's propagator is not finite")
+    for i, (L, step, shift) in enumerate(zip(liouvs, step_ns.tolist(), shifts)):
+        for b, (block_rungs, squarings) in enumerate(ladders):
+            grid = _grid_step(block_rungs[i], squarings[i], shift)
+            if grid is not None:
+                L.memo[b, step] = grid
     out: list = [ConvergenceTimeoutError(f"state not within {eps} of the steady state by {t:.4g} ns")
                  for eps, t in zip(epsilon.tolist(), t_max_ns.tolist())]  # unless the point crosses
     # row k of `block[r]` holds the coordinates of point live[r], k0 + k steps in
