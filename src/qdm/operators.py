@@ -40,7 +40,7 @@ POSITIVITY_TOL = 1e-8
 _SCREEN_SHIFT = 0.9999 * POSITIVITY_TOL
 #: Largest part of a generator coupling its exchange-even and odd blocks,
 #: relative to its largest entry, that the block split may drop. Rounding
-#: leaves at most 2.5e-16 on the presets and the full16 point.
+#: leaves at most 1.6e-17 on the presets and the full16 point.
 EXCHANGE_TOL = 1e-13
 
 
