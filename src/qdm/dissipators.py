@@ -152,6 +152,37 @@ def phonon_eigenoperators(H: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, np
     return omega[ia, ib][keep], p_sym[keep], p_asym[keep]
 
 
+def phonon_channels(H: OperatorMatrix, geom: DotGeometry, material: MaterialParams) -> list[tuple]:
+    """The temperature-independent half of `phonon_dissipator`: per
+    eigenchannel of `H` and coupling parity with a nonzero operator and
+    J(omega) > 0, in that order, (omega, J(omega), downward operator, down
+    label, up label)."""
+    channels = []
+    omegas, p_syms, p_asyms = phonon_eigenoperators(H)
+    for omega, p_sym, p_asym in zip(omegas.tolist(), p_syms, p_asyms):
+        for parity, sign, p in (("plus", "+", p_sym), ("minus", "-", p_asym)):
+            if np.abs(p).max() < _ZERO_OP_TOL:
+                continue
+            j = spectral_density(omega, parity, geom, material)
+            if j > 0.0:
+                label = f"phonon({omega:.6g},{sign},"
+                channels.append((omega, j, p, label + "down)", label + "up)"))
+    return channels
+
+
+def _thermal_jumps(basis: ModelBasis, channels: list, temperature: float) -> CollapseSet:
+    """The jump operators of `phonon_channels` at a checked `temperature` (K)."""
+    ops, labels = [], []
+    for omega, j, p, down, up in channels:
+        occ = bose_occupation(omega, temperature) if temperature > 0 else 0.0
+        ops.append(math.sqrt(j * (occ + 1.0)) * p)
+        labels.append(down)
+        if occ > 0.0:
+            ops.append(math.sqrt(j * occ) * p.conj().T)
+            labels.append(up)
+    return CollapseSet(basis, ops, tuple(labels))
+
+
 def phonon_dissipator(
     H: OperatorMatrix,
     temperature: float,
@@ -167,24 +198,7 @@ def phonon_dissipator(
     """
     if not 0.0 <= temperature < math.inf:
         raise DomainError(f"temperature must be finite and nonnegative, got {temperature}")
-    ops: list[np.ndarray] = []
-    labels: list[str] = []
-    omegas, p_syms, p_asyms = phonon_eigenoperators(H)
-    for omega, p_sym, p_asym in zip(omegas.tolist(), p_syms, p_asyms):
-        occ = bose_occupation(omega, temperature) if temperature > 0 else 0.0
-        for parity, p in (("plus", p_sym), ("minus", p_asym)):
-            if np.abs(p).max() < _ZERO_OP_TOL:
-                continue
-            j = spectral_density(omega, parity, geom, material)
-            if j <= 0.0:
-                continue
-            sign = "+" if parity == "plus" else "-"
-            ops.append(math.sqrt(j * (occ + 1.0)) * p)
-            labels.append(f"phonon({omega:.6g},{sign},down)")
-            if occ > 0.0:
-                ops.append(math.sqrt(j * occ) * p.conj().T)
-                labels.append(f"phonon({omega:.6g},{sign},up)")
-    return CollapseSet(H.basis, ops, tuple(labels))
+    return _thermal_jumps(H.basis, phonon_channels(H, geom, material), temperature)
 
 
 def assemble_liouvillian(H: OperatorMatrix, collapse: CollapseSet) -> Superoperator:

@@ -20,8 +20,9 @@ import numpy as np
 from . import __version__
 from .basis import BasisKind, ModelBasis, make_basis, state_vector
 from .dissipators import (
+    _thermal_jumps,
     assemble_liouvillian,
-    phonon_dissipator,
+    phonon_channels,
     spontaneous_collapse_ops,
 )
 from .dynamics import Trajectory, _each_alone, characteristic_time, evolve, steady_state
@@ -139,27 +140,40 @@ def initial_state(config: ScenarioConfig, basis: ModelBasis) -> DensityMatrix:
     return DensityMatrix(basis, rho / rho.trace())
 
 
+def _liouvillian(config: ScenarioConfig, parts: dict) -> Superoperator:
+    """The generator of `config`, from the parts in `parts` that do not depend
+    on the temperature: the Hamiltonian per (model, drive, coupling, tunneling),
+    the radiative jumps per (basis, gamma0, gamma1) and the phonon channels
+    per (Hamiltonian, geometry, material). A missing part is built and added;
+    one that fails to build raises and is not added."""
+    drive, coupling = config.drive, config.coupling
+    h_key = ("hamiltonian", config.model, drive, coupling, config.tunneling)
+    if h_key not in parts:
+        if config.model == "effective6":
+            parts[h_key] = build_effective_hamiltonian(drive, coupling)
+        elif config.model == "effective8":
+            te = coupling.t_e if config.tunneling else 0.0
+            parts[h_key] = build_effective_tunneling_hamiltonian(drive, dressed_basis(coupling.delta, te))
+        else:
+            if not config.tunneling:
+                coupling = replace(coupling, t_e=0.0)
+            parts[h_key] = build_full_hamiltonian(drive, coupling, BasisKind(config.model))
+    h = parts[h_key]
+    radiative_key = ("radiative", h.basis, drive.gamma0, drive.gamma1)
+    if radiative_key not in parts:
+        parts[radiative_key] = spontaneous_collapse_ops(drive.gamma0, drive.gamma1, h.basis)
+    collapse = parts[radiative_key]
+    if config.phonons:
+        channels_key = ("phonons", h_key, config.geometry, config.material)
+        if channels_key not in parts:
+            parts[channels_key] = phonon_channels(h, config.geometry, config.material)
+        collapse = collapse.merged(_thermal_jumps(h.basis, parts[channels_key], config.temperature))
+    return assemble_liouvillian(h, collapse)
+
+
 def build_liouvillian(config: ScenarioConfig) -> Superoperator:
     """Hamiltonian plus collapse set for the configured model, assembled."""
-    drive, coupling = config.drive, config.coupling
-    if config.model == "effective6":
-        h = build_effective_hamiltonian(drive, coupling)
-    elif config.model == "effective8":
-        te = coupling.t_e if config.tunneling else 0.0
-        h = build_effective_tunneling_hamiltonian(
-            drive, dressed_basis(coupling.delta, te)
-        )
-    else:
-        if not config.tunneling:
-            coupling = replace(coupling, t_e=0.0)
-        h = build_full_hamiltonian(drive, coupling, BasisKind(config.model))
-
-    collapse = spontaneous_collapse_ops(drive.gamma0, drive.gamma1, h.basis)
-    if config.phonons:
-        collapse = collapse.merged(
-            phonon_dissipator(h, config.temperature, config.geometry, config.material)
-        )
-    return assemble_liouvillian(h, collapse)
+    return _liouvillian(config, {})
 
 
 @dataclass(frozen=True)
@@ -230,8 +244,9 @@ def _solve(configs: list[ScenarioConfig]) -> Iterator[tuple[int, object]]:
     Takes the points model by model, in chunks of at most _STACK_BYTES of
     generators, builds each chunk's generators and solves them as stacks
     (`_solve_chunk`), with one initial state per distinct (initial_state,
-    seed) of a model. Yields (index, outcome) chunk by chunk, so a sweep
-    holds one chunk's generators at a time. The outcome is (generator,
+    seed) and one set of `_liouvillian` parts per distinct key of a model.
+    Yields (index, outcome) chunk by chunk, so a sweep holds one chunk's
+    generators, and its model's parts, at a time. The outcome is (generator,
     initial state, steady matrix, T0 ns, steady concurrence, steady leak),
     or the error the config raises when solved alone, a LAPACK failure as a
     DomainError.
@@ -242,13 +257,14 @@ def _solve(configs: list[ScenarioConfig]) -> Iterator[tuple[int, object]]:
     for model, members in models.items():
         basis = make_basis(BasisKind(model))
         initial: dict[tuple[str, int], DensityMatrix] = {}
+        parts: dict[tuple, object] = {}
         size = max(1, _STACK_BYTES // (8 * basis.dim**4))
         for start in range(0, len(members), size):
             chunk, liouvs, rho0s = [], [], []
             for i in members[start:start + size]:
                 config = configs[i]
                 try:
-                    liouvs.append(build_liouvillian(config))
+                    liouvs.append(_liouvillian(config, parts))
                 except QdmError as exc:
                     yield i, exc
                     continue

@@ -10,10 +10,12 @@ from qdm.basis import BasisKind, ModelBasis, effective6, state_vector
 from qdm.dissipators import (
     _ZERO_OP_TOL,
     OMEGA_CUTOFF,
+    CollapseSet,
     _dot_sums,
     _eigen_clusters,
     assemble_liouvillian,
     exchange_eigh,
+    phonon_eigenoperators,
     spontaneous_collapse_ops,
 )
 from qdm import dynamics, scenarios
@@ -36,6 +38,7 @@ from qdm.operators import (
     vectorize_real,
 )
 from qdm.params import HBAR_UEV_NS, CouplingParams, DriveParams
+from qdm.physics import bose_occupation, spectral_density
 from qdm.scenarios import build_liouvillian, initial_state, scenario_presets
 
 #: The bare two-qubit basis, on which `concurrence` reads a state.
@@ -197,6 +200,30 @@ def phonon_eigenoperators_loop(H):
                 continue
             channels.append((omega, p_sym, p_asym))
     return channels
+
+
+def phonon_dissipator_loop(H, temperature, geom, material):
+    """The phonon jumps of `H` at `temperature` from one loop over its
+    channels, each weighted as its spectral density is taken: the reference
+    for `phonon_dissipator`, which builds the channels once for every
+    temperature."""
+    ops, labels = [], []
+    omegas, p_syms, p_asyms = phonon_eigenoperators(H)
+    for omega, p_sym, p_asym in zip(omegas.tolist(), p_syms, p_asyms):
+        occ = bose_occupation(omega, temperature) if temperature > 0 else 0.0
+        for parity, p in (("plus", p_sym), ("minus", p_asym)):
+            if np.abs(p).max() < _ZERO_OP_TOL:
+                continue
+            j = spectral_density(omega, parity, geom, material)
+            if j <= 0.0:
+                continue
+            sign = "+" if parity == "plus" else "-"
+            ops.append(math.sqrt(j * (occ + 1.0)) * p)
+            labels.append(f"phonon({omega:.6g},{sign},down)")
+            if occ > 0.0:
+                ops.append(math.sqrt(j * occ) * p.conj().T)
+                labels.append(f"phonon({omega:.6g},{sign},up)")
+    return CollapseSet(H.basis, ops, tuple(labels))
 
 
 def liouvillian_kron(H, collapse):

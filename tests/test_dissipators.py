@@ -12,23 +12,31 @@ from conftest import (
     full16_config,
     lindblad_term,
     liouvillian_kron,
+    phonon_dissipator_loop,
     phonon_eigenoperators_loop,
     random_density,
     trace_preservation_defect,
     vectorize,
 )
 from qdm import scenarios
-from qdm.basis import effective6, effective8, state_vector
+from qdm.basis import BasisKind, effective6, effective8, state_vector
 from qdm.dissipators import (
     CollapseSet,
+    _thermal_jumps,
     assemble_liouvillian,
     exchange_eigh,
+    phonon_channels,
     phonon_dissipator,
     phonon_eigenoperators,
     spontaneous_collapse_ops,
 )
 from qdm.errors import BasisMismatchError, DomainError
-from qdm.hamiltonians import build_effective_hamiltonian
+from qdm.hamiltonians import (
+    build_effective_hamiltonian,
+    build_effective_tunneling_hamiltonian,
+    build_full_hamiltonian,
+    dressed_basis,
+)
 from qdm.operators import OperatorMatrix
 from qdm.params import CouplingParams, DotGeometry, DriveParams, K_B_UEV_PER_K, MaterialParams
 
@@ -125,6 +133,28 @@ def test_phonon_detailed_balance(drive):
         omega = float(lab.split("(")[1].split(",")[0])
         ratio = (np.abs(up).max() / np.abs(down).max()) ** 2
         assert abs(ratio - math.exp(-omega / (K_B_UEV_PER_K * temp))) < 1e-6
+
+
+def test_phonon_dissipator_weights_channels_built_once_as_one_loop_does(drive):
+    """Bitwise ops and labels at 0, 0.5 and 4 K: `phonon_dissipator`, and one
+    `phonon_channels` weighted at each temperature, against the one-loop form."""
+    fig4a = scenarios.scenario_presets()["fig4a"]
+    coupling = fig4a.coupling
+    full16_drive = replace(fig4a.drive, detuning=398.0)
+    hamiltonians = (
+        build_effective_hamiltonian(drive, CouplingParams()),
+        build_effective_tunneling_hamiltonian(fig4a.drive, dressed_basis(coupling.delta, coupling.t_e)),
+        build_full_hamiltonian(full16_drive, coupling, BasisKind.FULL16),
+    )
+    geom, mat = DotGeometry(), MaterialParams()
+    for h in hamiltonians:
+        channels = phonon_channels(h, geom, mat)
+        for temp in (0.0, 0.5, 4.0):
+            want = phonon_dissipator_loop(h, temp, geom, mat)
+            assert len(want) > 0
+            for cs in (_thermal_jumps(h.basis, channels, temp), phonon_dissipator(h, temp, geom, mat)):
+                assert cs.labels == want.labels
+                assert cs.ops.shape == want.ops.shape and cs.ops.tobytes() == want.ops.tobytes()
 
 
 def test_phonon_rates_grow_with_temperature(drive):

@@ -1,15 +1,18 @@
 import dataclasses
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import serial_characteristic_time, steady_state_by_point, sweep_rows_by_point
-from qdm import dynamics, scenarios
+from qdm import dissipators, dynamics, scenarios
 from qdm.dynamics import NULL_SINGULAR_VALUE_TOL, characteristic_time
 from qdm.entanglement import qubit_concurrence
-from qdm.errors import ConfigError, DegenerateSteadyStateError, QdmError
+from qdm.errors import ConfigError, DegenerateSteadyStateError, DomainError, QdmError
 from qdm.params import CouplingParams, DotGeometry, DriveParams, MaterialParams
 from qdm.scenarios import (
     ScenarioConfig,
@@ -153,6 +156,23 @@ def test_sweep_presets_hold_the_figure_grids():
     fn, config, grids = catalog["fig4b"]
     assert fn is sweep_temperature and config == presets["fig4b"]
     assert grids == {"T_grid": [0.0, 0.5, 1.0, 2.0, 4.0], "te_grid": [0.0, 1000.0, 2000.0, 3000.0]}
+
+
+def test_the_benchmark_sweeps_are_the_sweep_presets(monkeypatch):
+    """The seed-0 sweep calls of the benchmark run the grids and preset
+    configs of `sweep_presets()`, which `qdm sweep` runs."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    calls = workloads.make("sweep", workloads.DEFAULT_SEED)
+    catalog = sweep_presets()
+    assert [call.key for call in calls] == list(catalog)
+    for call in calls:
+        fn, config, grids = catalog[call.key]
+        assert call.fn is fn and call.config == config and call.grids == grids
 
 
 def test_sweep_keeps_its_rows_past_a_spectral_density_overflow():
@@ -400,6 +420,79 @@ def test_sweeps_call_each_solver_layer_once_per_chunk(monkeypatch):
     sweep_temperature(presets["fig4b"], [0.0, 0.5, 1.0, 2.0, 4.0], [0.0, 1000.0, 2000.0, 3000.0])
     assert calls.count("steady_state") == calls.count("characteristic_time") == 5
     assert calls.count("initial_state") == 2
+
+
+def _solved_generators(monkeypatch):
+    """Make `_solve` record the (config, generator) of each point it solves."""
+    seen = []
+    solve = scenarios._solve
+
+    def recorded(configs):
+        for i, outcome in solve(configs):
+            if not isinstance(outcome, Exception):
+                seen.append((configs[i], outcome[0]))
+            yield i, outcome
+
+    monkeypatch.setattr(scenarios, "_solve", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("grid", ["fig4b", "one_te_at_several_T", "full16"])
+def test_shared_parts_build_each_point_generator_bitwise(grid, monkeypatch):
+    seen = _solved_generators(monkeypatch)
+    fig4b = scenario_presets()["fig4b"]
+    config, temps, tes = {
+        "fig4b": (fig4b, [0.0, 0.5, 1.0, 2.0, 4.0], [0.0, 1000.0, 2000.0, 3000.0]),
+        "one_te_at_several_T": (fig4b, [4.0, 0.0, 1.0, 0.5, 1.0], [2000.0]),
+        "full16": (_full16_point(), [0.0, 2.0], [2000.0]),
+    }[grid]
+    rows = sweep_temperature(config, temps, tes).rows
+    assert all(row[-1] == "" for row in rows) and len(seen) == len(rows)
+    for point, liouv in seen:
+        assert liouv.matrix.tobytes() == build_liouvillian(point).matrix.tobytes()
+
+
+def test_a_sweep_builds_each_distinct_hamiltonians_parts_once(monkeypatch):
+    calls = []
+    for module, name in (
+        (dissipators, "phonon_eigenoperators"),
+        (scenarios, "spontaneous_collapse_ops"),
+        (scenarios, "build_effective_hamiltonian"),
+        (scenarios, "build_effective_tunneling_hamiltonian"),
+    ):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    fn, fig4b, grids = sweep_presets()["fig4b"]
+    # 20 points: one Hamiltonian per t_e, the phonons-only model at t_e = 0
+    for _ in range(2):  # nothing is kept from one sweep to the next
+        calls.clear()
+        fn(fig4b, **grids)
+        assert calls.count("phonon_eigenoperators") == 4
+        assert calls.count("build_effective_tunneling_hamiltonian") == 3
+        assert calls.count("build_effective_hamiltonian") == 1
+        assert calls.count("spontaneous_collapse_ops") == 2
+    calls.clear()
+    run_scenario(scenario_presets()["fig4a"])
+    assert calls.count("phonon_eigenoperators") == 1
+
+
+def test_a_failed_channel_build_gives_each_point_its_own_row(monkeypatch):
+    pairs = _sweeps_against_the_loop(monkeypatch)
+    fn, fig4b, grids = sweep_presets()["fig4b"]
+    config = dataclasses.replace(fig4b, geometry=dataclasses.replace(fig4b.geometry, l_par_e=1e300))
+    rows = fn(config, **grids).rows
+    assert all(math.isnan(row[2]) and "is out of float range" in row[-1] for row in rows)
+    ((stacked, alone),) = pairs
+    assert _reprs(stacked) == _reprs(alone)
+    # the Hamiltonian and radiative jumps are kept; the failed channels are not
+    parts = {}
+    for _ in range(2):
+        with pytest.raises(DomainError, match="spectral density at .* is out of float range"):
+            scenarios._liouvillian(config, parts)
+        assert [key[0] for key in parts] == ["hamiltonian", "radiative"]
 
 
 def _full16_point(**changes):
