@@ -36,7 +36,7 @@ from .operators import (
 )
 from .params import HBAR_UEV_NS
 
-#: A singular value of the generator below this counts as null.
+#: A block of the generator counts as singular unless sigma_min >= 1/||M^-1||_F is above this.
 NULL_SINGULAR_VALUE_TOL = 1e-9
 STEADY_RESIDUAL_TOL = 1e-9
 
@@ -101,9 +101,9 @@ def _propagators(gens: np.ndarray, t_ns: np.ndarray, below: int) -> tuple[list[l
     each matrix takes alone, and point i is squared s_i times, after which it
     leaves the stack. As scaling by 2^-s is exact, entry [i][k] is bitwise
     the propagator that a call over t_i / 2^k returns. Each kept rung is a
-    copy, so none holds a whole (n, D, D) square alive. No module of the package may call SciPy's linalg: its wheel
-    loads a second OpenBLAS whose idle threads spin on the cores numpy's
-    threads need, and switching between the two made a sweep 3x slower.
+    copy, so none holds a whole (n, D, D) square alive. No module of the
+    package may call SciPy's linalg: its wheel's second OpenBLAS spins idle
+    threads on the cores numpy's need; switching made a sweep 3x slower.
     """
     a = gens * (t_ns / HBAR_UEV_NS)[:, None, None]
     norms = np.abs(a).sum(axis=-2).max(axis=-1).tolist()
@@ -244,74 +244,74 @@ def _stack(L: Sequence[Superoperator]) -> list[Superoperator]:
     return list(L)
 
 
+def _inverses(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M^-1 of an (n, k, k) stack, the bound 1/||M^-1||_F <= sigma_min(M) (0 where
+    M^-1 is not finite) and ||M||_F, norms over each matrix's largest entry against
+    overflow. An exactly singular M alone gets bound 0; a stack re-raises LAPACK's."""
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        if len(m) > 1:
+            raise
+        inv = np.full_like(m, np.nan)
+    pair = np.stack([m, inv])
+    scale = np.maximum(np.abs(pair).max(axis=(-2, -1)), np.finfo(float).tiny)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm fails its check
+        unit = pair / scale[..., None, None]
+        norm, inv_norm = scale * np.sqrt(np.einsum("...ij,...ij->...", unit, unit))
+    return inv, np.where(inv_norm < np.inf, 1.0 / inv_norm, 0.0), norm
+
+
 def _steady_states(liouvs: Sequence[Superoperator]) -> list:
-    """Steady states of same-basis generators, from stacks of their blocks:
-    each a checked, read-only (d, d) state, or the DegenerateSteadyStateError
-    of a null space that the singular values cannot resolve or that is not
-    one-dimensional, or of a residual above tolerance.
-    A state that fails its check raises for the whole stack."""
+    """`steady_state` of a same-basis stack: per point a checked, read-only (d, d)
+    state or its error; a non-finite generator, or a failed check, raises for all."""
     sec, dim = sectors(liouvs[0].basis), liouvs[0].dim
-    even = np.array([L.blocks[0] for L in liouvs])
+    a = np.array([L.blocks[0] for L in liouvs])
     odd = np.array([L.blocks[1] for L in liouvs])
-    sv = np.concatenate([np.linalg.svd(even, compute_uv=False), np.linalg.svd(odd, compute_uv=False)], axis=-1)
-    sv = np.sort(sv, axis=-1)[:, ::-1]
-    nulls = (sv < NULL_SINGULAR_VALUE_TOL).sum(axis=-1).tolist()
-    out: list = [None] * len(liouvs)
-    for i, (count, sv_max) in enumerate(zip(nulls, sv[:, 0].tolist())):
-        # singular values are accurate to about eps * sigma_max only
-        floor = np.finfo(float).eps * sv_max
-        if not floor < NULL_SINGULAR_VALUE_TOL:
-            out[i] = DegenerateSteadyStateError(
-                f"null space not resolvable: sigma_max {sv_max:.3e} puts the "
-                f"singular values' rounding floor at {floor:.3e}, not below {NULL_SINGULAR_VALUE_TOL}"
-            )
-        elif count != 1:
-            out[i] = DegenerateSteadyStateError(
-                f"{count} null singular values below {NULL_SINGULAR_VALUE_TOL} "
-                f"(smallest: {np.array2string(sv[i, ::-1][:3], precision=3)})"
-            )
-    ok = [i for i, state in enumerate(out) if state is None]
-    if not ok:
-        return out
-    a = even[ok]
+    if not (np.isfinite(a).all() and np.isfinite(odd).all()):
+        raise DomainError("generator has non-finite entries")
     a[:, 0] = sec.trace
-    # b as a (1, n, 1) stack: numpy 1.x reads a b of rank a.ndim - 1 as
-    # a stack of vectors, not as one matrix for every point
-    x = from_sectors(np.linalg.solve(a, np.eye(sec.n_even, 1)[None])[..., 0], sec)
-    with np.errstate(over="ignore", invalid="ignore"):  # a residual that is not finite fails below
-        r = [liouvs[i].real_matrix @ x_i for i, x_i in zip(ok, x)]
-        residuals = [float(np.sqrt(r_i @ r_i)) for r_i in r]
-    good = []
-    for n, residual in enumerate(residuals):
-        if not residual <= STEADY_RESIDUAL_TOL:
-            out[ok[n]] = DegenerateSteadyStateError(f"steady-state residual {residual:.2e}")
-        else:
-            good.append(n)
+    (a_inv, a_bound, a_norm), (_, odd_bound, odd_norm) = _inverses(a), _inverses(odd)
+    x = from_sectors(a_inv[..., 0], sec)
+    floors = (np.finfo(float).eps * np.maximum(a_norm, odd_norm)).tolist()
+    out: list = []
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual that is not finite fails
+        for i, (L, floor, *bounds) in enumerate(zip(liouvs, floors, a_bound.tolist(), odd_bound.tolist())):
+            bound, block = min(zip(bounds, ("even", "odd")))
+            if not floor < NULL_SINGULAR_VALUE_TOL:
+                error = f"null space not resolvable: eps ||M||_F = {floor:.3e}, not below {NULL_SINGULAR_VALUE_TOL}"
+            elif not bound > NULL_SINGULAR_VALUE_TOL:
+                error = f"{block} block may be singular: 1/||M^-1||_F = {bound:.3e} <= {NULL_SINGULAR_VALUE_TOL}"
+            else:
+                r = L.real_matrix @ x[i]
+                residual = float(np.sqrt(r @ r))
+                error = "" if residual <= STEADY_RESIDUAL_TOL else f"steady-state residual {residual:.2e}"
+            out.append(DegenerateSteadyStateError(error) if error else None)
+    good = [i for i, state in enumerate(out) if state is None]
     if good:
         states = physical_states(unvectorize_real(x[good], dim))
         states.setflags(write=False)
-        for n, state in zip(good, states):
-            out[ok[n]] = state
+        for i, state in zip(good, states):
+            out[i] = state
     return out
 
 
 def steady_state(L: Superoperator | Sequence[Superoperator]) -> DensityMatrix | list:
     """The unique fixed point of the generator.
 
-    Direct solve on the even block of G = `L.real_matrix` (`L.blocks`),
-    which holds the trace: its first row (rho_00's equation) replaced by the
-    trace row, against the right-hand side e_0, so the solution has unit
-    trace by construction (QuTiP's "direct" method, Johansson, Nation & Nori,
-    arXiv:1110.0573). Raises if the null space is not one-dimensional,
-    counted as singular values of both blocks below NULL_SINGULAR_VALUE_TOL,
-    if that count cannot be resolved (the singular values' rounding floor,
-    eps times the largest, is not below the tolerance), or if the residual
-    of the whole G exceeds STEADY_RESIDUAL_TOL.
-
-    A sequence of same-basis generators is solved as one stack, with one
-    `svd` per block, one `solve` and one check of the states: the result is a list
-    holding each generator's checked, read-only (d, d) state, or the error
-    that generator raises alone.
+    Direct solve on the even block of G = `L.real_matrix` (`L.blocks`), which
+    holds the trace (QuTiP's "direct" method, Johansson, Nation & Nori,
+    arXiv:1110.0573): x is column 0 of A^-1, A that block with its first row
+    replaced by the trace row, so x has unit trace. Their ranks differ by at
+    most 1, so a nonsingular A leaves the block a null space of dimension <= 1,
+    which the residual check on the whole G puts x in; a nonsingular odd block
+    leaves no odd steady state. Raises DegenerateSteadyStateError if the
+    certified bound 1/||M^-1||_F <= sigma_min(M) of either is not above
+    NULL_SINGULAR_VALUE_TOL, if their rounding floor eps ||M||_F is not below
+    it, or if G's residual exceeds STEADY_RESIDUAL_TOL; DomainError if G is not
+    finite. A list of same-basis generators is solved as one stack, with one
+    `inv` per block, into a list of each one's checked, read-only (d, d) state
+    or the error it raises alone.
     """
     if isinstance(L, Superoperator):
         (state,) = _each_alone(_steady_states, [L])

@@ -193,10 +193,10 @@ def _t0_ceiling_ns(config: ScenarioConfig) -> float:
     return max(config.t_grid[1], 50.0 * HBAR_UEV_NS / gamma) if gamma > 0.0 else math.inf
 
 
-#: Most bytes of one real (n, d^2, d^2) generator stack: 12 effective6 points,
-#: 4 effective8, 2 full9, 1 full16. Stacking saves numpy's per-call overhead,
-#: which outweighs the flops only on the smallest generators, and a larger
-#: stack raises the peak memory.
+#: Most bytes of a chunk's n whole real (d^2, d^2) generators: 12 effective6,
+#: 4 effective8, 2 full9, 1 full16 points, so each even-block stack, or its
+#: inverse, is smaller. Stacking saves per-call overhead, and a larger stack
+#: raises the peak memory; a new cap would move every chunk's shape and timing.
 _STACK_BYTES = 128 * 1024
 
 

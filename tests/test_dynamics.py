@@ -24,6 +24,7 @@ from conftest import (
 from qdm import dynamics, operators, scenarios
 from qdm.basis import BasisKind, state_vector
 from qdm.dynamics import (
+    NULL_SINGULAR_VALUE_TOL,
     adiabatic_validity,
     characteristic_time,
     evolve,
@@ -250,8 +251,38 @@ def test_steady_state_degenerate_full16_without_tunneling():
     drive = config.drive
     h = build_full_hamiltonian(drive, replace(config.coupling, t_e=0.0), BasisKind.FULL16)
     cs = spontaneous_collapse_ops(drive.gamma0, drive.gamma1, h.basis)
-    with pytest.raises(DegenerateSteadyStateError, match="4 null singular values"):
-        steady_state(assemble_liouvillian(h, cs))
+    liouv = assemble_liouvillian(h, cs)
+    with pytest.raises(DegenerateSteadyStateError, match="block may be singular"):
+        steady_state(liouv)
+    # the SVD oracle: the null space has 4 dimensions
+    assert (np.linalg.svd(liouv.real_matrix, compute_uv=False) < NULL_SINGULAR_VALUE_TOL).sum() == 4
+
+
+#: Zero drive, zero decay and zero modulation on seven setups. The pairs in
+#: _PROBES_SOLVED have a unique steady state; every other probe is degenerate.
+_PROBE_DRIVES = {"omega": {"omega": 0.0}, "gamma": {"gamma0": 0.0, "gamma1": 0.0}, "omega_m": {"omega_m": 0.0}}
+_PROBE_SETUPS = ("fig3a", "fig3a_full9", "fig4a", "fig4a_no_phonons", "full16", "full16_no_phonons", "full9_2K")
+_PROBES_SOLVED = {("fig3a_full9", "omega_m"), ("full16", "gamma"), ("full16", "omega_m"),
+                  ("full16_no_phonons", "omega_m"), ("full9_2K", "gamma"), ("full9_2K", "omega_m")}
+
+
+@pytest.mark.parametrize("probe", list(_PROBE_DRIVES))
+@pytest.mark.parametrize("setup", _PROBE_SETUPS)
+def test_degeneracy_probes_keep_their_verdicts(setup, probe):
+    presets = scenario_presets()
+    full16 = full16_config(398.0)
+    config = {
+        "fig4a_no_phonons": replace(presets["fig4a"], phonons=False),
+        "full16": full16,
+        "full16_no_phonons": replace(full16, phonons=False),
+        "full9_2K": replace(presets["fig3a_full9"], phonons=True, temperature=2.0),
+    }.get(setup) or presets[setup]
+    liouv = build_liouvillian(replace(config, drive=replace(config.drive, **_PROBE_DRIVES[probe])))
+    if (setup, probe) in _PROBES_SOLVED:
+        steady_state(liouv)
+    else:
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(liouv)
 
 
 def test_steady_state_agrees_with_long_time_limit(liouv6, paper_mixture):
@@ -313,7 +344,7 @@ def test_characteristic_time_timeout(liouv6, paper_mixture, monkeypatch):
     with pytest.raises(ConvergenceTimeoutError):
         characteristic_time(liouv6, paper_mixture, epsilon=1e-9, t_max_ns=1.0)
     # the bounds are checked before the steady state is solved
-    monkeypatch.setattr(np.linalg, "svd", None)
+    monkeypatch.setattr(np.linalg, "inv", None)
     with pytest.raises(DomainError):
         characteristic_time(liouv6, paper_mixture, epsilon=1.5)
     # a ceiling at or below 0 marched backwards into a timeout, a non-finite
@@ -417,14 +448,24 @@ def test_screen_keeps_a_timed_out_march_off_the_eigensolver(monkeypatch):
     assert sum(rows) == 0
 
 
-def test_stacked_steady_state_keeps_a_failed_svd_to_its_point(liouv6):
+def test_stacked_steady_state_keeps_a_non_finite_generator_to_its_point(liouv6):
+    # a NaN reached LAPACK, whose failure read as "SVD did not converge" or,
+    # from `inv`, as a singular matrix, a degeneracy it is not
     broken = Superoperator(liouv6.basis, np.full((36, 36), np.nan))
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(DomainError, match="generator has non-finite entries"):
         steady_state(broken)
     alone = steady_state(liouv6).matrix
     first, failed, last = steady_state([liouv6, broken, liouv6])
-    assert isinstance(failed, np.linalg.LinAlgError)
+    assert isinstance(failed, DomainError) and "non-finite" in str(failed)
     assert first.tobytes() == last.tobytes() == alone.tobytes()
+
+
+def test_inverse_bounds_near_the_float_maximum_raise_no_warning():
+    # entries of 1e307: ||M||_F is past the float range and reads inf, which
+    # fails the rounding floor; the bound stays a bound
+    m = np.full((1, 26, 26), 1e307) + 1e306 * np.eye(26)
+    _, (bound,), (norm,) = dynamics._inverses(m)
+    assert norm == np.inf and 0.0 < bound <= np.linalg.svd(m[0], compute_uv=False)[-1]
 
 
 def test_stacked_t0_search_keeps_each_failure_to_its_point(liouv6, paper_mixture):
