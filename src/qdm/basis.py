@@ -168,34 +168,34 @@ def exchange(basis: ModelBasis) -> tuple[np.ndarray, np.ndarray]:
     return image, sign
 
 
-def parity_split(image: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, int]:
-    """The rows of a real orthogonal Q, and its count of even rows, for the
-    signed involution ``R e_i = sign[i] e_image[i]``: Q R Q^T is +1 on the
-    first rows, -1 on the rest. A fixed e_i is even or odd by its sign; a
-    pair i < m = image[i] gives (e_i + sign[i] e_m)/sqrt(2), even, and
-    (e_i - sign[i] e_m)/sqrt(2), odd. Rows keep the order of their lowest
-    index, so a fixed e_0 stays row 0."""
-    n = len(image)
-    even, odd = [], []
-    for i, (m, s) in enumerate(zip(image.tolist(), sign.tolist())):
-        if m == i:
-            row = np.zeros(n)
-            row[i] = 1.0
-            (even if s > 0 else odd).append(row)
-        elif i < m:
-            plus, minus = np.zeros(n), np.zeros(n)
-            plus[i] = minus[i] = math.sqrt(0.5)
-            plus[m], minus[m] = s * math.sqrt(0.5), -s * math.sqrt(0.5)
-            even.append(plus)
-            odd.append(minus)
-    return np.array(even + odd), len(even)
+def parity_split(image: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The rows of a real orthogonal Q as two (index, coefficient) terms
+    each, and its count of even rows, for the signed involution
+    ``R e_i = sign[i] e_image[i]``: Q R Q^T is +1 on the first rows, -1 on
+    the rest. A fixed e_i is even or odd by its sign, with a second term of
+    coefficient 0; a pair i < m = image[i] gives (e_i + sign[i] e_m)/sqrt(2),
+    even, and (e_i - sign[i] e_m)/sqrt(2), odd, whose terms are listed e_m
+    first, so that each column of the index is a permutation. Rows keep the
+    order of their lowest index, so a fixed e_0 stays row 0."""
+    i = np.arange(len(image))
+    fixed, r = image == i, math.sqrt(0.5)
+    even = np.flatnonzero(fixed & (sign > 0) | (i < image))
+    odd = np.flatnonzero(fixed & (sign < 0) | (i < image))
+    index = np.concatenate([np.stack([even, image[even]], axis=1), np.stack([image[odd], odd], axis=1)])
+    coef = np.concatenate([
+        np.stack([np.where(fixed, 1.0, r), np.where(fixed, 0.0, sign * r)], axis=1)[even],
+        np.stack([np.where(fixed, 1.0, -sign * r), np.where(fixed, 0.0, r)], axis=1)[odd],
+    ])
+    return index, coef, len(even)
 
 
 @cache
 def exchange_basis(basis: ModelBasis) -> tuple[np.ndarray, int]:
     """A real orthogonal V (read-only) whose columns are states of `basis`,
     the exchange-even ones first, and their count."""
-    q, n_even = parity_split(*exchange(basis))
-    v = np.ascontiguousarray(q.T)
+    index, coef, n_even = parity_split(*exchange(basis))
+    v = np.zeros((basis.dim, basis.dim))
+    for k in range(2):
+        v[index[:, k], np.arange(basis.dim)] += coef[:, k]
     v.setflags(write=False)
     return v, n_even

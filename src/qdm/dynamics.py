@@ -8,7 +8,8 @@ blocks of `Superoperator.blocks`, in the sector coordinates of
 `operators.sectors`: a steady state solves the even block, which holds the
 trace, and a state is propagated on the blocks it occupies, the even one
 for every exchange-even state (`paper_mixture`, `ground_00`), both for a
-`random` one. States map back to the real frame by the fixed orthogonal Q^T.
+`random` one. States map to sector coordinates by the fixed unitary W of
+`sectors` (`to_sectors`) and back by W^dag (`from_sectors`).
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .operators import (
     sectors,
     to_sectors,
     trace_distance_matrices,
-    unvectorize_real,
-    vectorize_real,
 )
 from .params import HBAR_UEV_NS
 
@@ -187,7 +186,7 @@ def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Traj
     `expm` per block, none when a T0 search on L left that step's in
     `L.memo`. Steps that differ by a few ULP of the end time (the jitter of
     `np.diff` on a `linspace` grid) share a propagator. One batched pass
-    checks the snapshot stack, mapped back to the real frame, and the
+    checks the snapshot stack, mapped back to matrices, and the
     observables come off it, so trace drift or loss of positivity beyond
     tolerance surfaces as an error, not as corrupt data.
     """
@@ -203,7 +202,7 @@ def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Traj
     props: dict[float, np.ndarray] = {}
     step_prop: dict[float, np.ndarray] = {}  # each step value's first match in `props`
     sec = sectors(L.basis)
-    y0 = to_sectors(vectorize_real(rho0.matrix), sec)
+    y0 = to_sectors(rho0.matrix, sec)
     blocks = range(_occupied(y0, sec))
     vecs = np.empty((len(t_grid_ns), sum(len(L.blocks[b]) for b in blocks)))
     vecs[0] = y0[:vecs.shape[1]]
@@ -215,7 +214,7 @@ def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Traj
                 props[key] = _block_diag([_block_propagator(L, b, key) for b in blocks])
             prop = step_prop[dt] = props[key]
         np.matmul(prop, vecs[i - 1], out=vecs[i])
-    stack = physical_states(unvectorize_real(from_sectors(vecs, sec), rho0.dim))
+    stack = physical_states(from_sectors(vecs, sec))
     conc, leak = qubit_concurrences(rho0.basis, stack)
     pops = {lab: stack[:, j, j].real for j, lab in enumerate(rho0.basis.labels)}
     return Trajectory(rho0.basis, t_grid_ns, stack, conc, leak, pops)
@@ -265,14 +264,14 @@ def _inverses(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _steady_states(liouvs: Sequence[Superoperator]) -> list:
     """`steady_state` of a same-basis stack: per point a checked, read-only (d, d)
     state or its error; a non-finite generator, or a failed check, raises for all."""
-    sec, dim = sectors(liouvs[0].basis), liouvs[0].dim
+    sec = sectors(liouvs[0].basis)
     a = np.array([L.blocks[0] for L in liouvs])
     odd = np.array([L.blocks[1] for L in liouvs])
     if not (np.isfinite(a).all() and np.isfinite(odd).all()):
         raise DomainError("generator has non-finite entries")
     a[:, 0] = sec.trace
     (a_inv, a_bound, a_norm), (_, odd_bound, odd_norm) = _inverses(a), _inverses(odd)
-    x = from_sectors(a_inv[..., 0], sec)
+    x = a_inv[..., 0]
     floors = (np.finfo(float).eps * np.maximum(a_norm, odd_norm)).tolist()
     out: list = []
     with np.errstate(over="ignore", invalid="ignore"):  # a residual that is not finite fails
@@ -283,13 +282,13 @@ def _steady_states(liouvs: Sequence[Superoperator]) -> list:
             elif not bound > NULL_SINGULAR_VALUE_TOL:
                 error = f"{block} block may be singular: 1/||M^-1||_F = {bound:.3e} <= {NULL_SINGULAR_VALUE_TOL}"
             else:
-                r = L.real_matrix @ x[i]
+                r = L.blocks[0] @ x[i]
                 residual = float(np.sqrt(r @ r))
                 error = "" if residual <= STEADY_RESIDUAL_TOL else f"steady-state residual {residual:.2e}"
             out.append(DegenerateSteadyStateError(error) if error else None)
     good = [i for i, state in enumerate(out) if state is None]
     if good:
-        states = physical_states(unvectorize_real(x[good], dim))
+        states = physical_states(from_sectors(x[good], sec))
         states.setflags(write=False)
         for i, state in zip(good, states):
             out[i] = state
@@ -299,19 +298,21 @@ def _steady_states(liouvs: Sequence[Superoperator]) -> list:
 def steady_state(L: Superoperator | Sequence[Superoperator]) -> DensityMatrix | list:
     """The unique fixed point of the generator.
 
-    Direct solve on the even block of G = `L.real_matrix` (`L.blocks`), which
-    holds the trace (QuTiP's "direct" method, Johansson, Nation & Nori,
-    arXiv:1110.0573): x is column 0 of A^-1, A that block with its first row
-    replaced by the trace row, so x has unit trace. Their ranks differ by at
-    most 1, so a nonsingular A leaves the block a null space of dimension <= 1,
-    which the residual check on the whole G puts x in; a nonsingular odd block
-    leaves no odd steady state. Raises DegenerateSteadyStateError if the
-    certified bound 1/||M^-1||_F <= sigma_min(M) of either is not above
-    NULL_SINGULAR_VALUE_TOL, if their rounding floor eps ||M||_F is not below
-    it, or if G's residual exceeds STEADY_RESIDUAL_TOL; DomainError if G is not
-    finite. A list of same-basis generators is solved as one stack, with one
-    `inv` per block, into a list of each one's checked, read-only (d, d) state
-    or the error it raises alone.
+    Direct solve on the even block E of `L.blocks`, which holds the trace
+    (QuTiP's "direct" method, Johansson, Nation & Nori, arXiv:1110.0573): x
+    is column 0 of A^-1, A that block with its first row replaced by the
+    trace row, so x has unit trace. Their ranks differ by at most 1, so a
+    nonsingular A leaves E a null space of dimension <= 1, which the
+    residual check on E puts x in; the coupling to the odd block that
+    `blocks` dropped is at most EXCHANGE_TOL of its largest entry, and a
+    nonsingular odd block leaves no odd steady state. Raises
+    DegenerateSteadyStateError if the certified bound 1/||M^-1||_F <=
+    sigma_min(M) of either block is not above NULL_SINGULAR_VALUE_TOL, if
+    their rounding floor eps ||M||_F is not below it, or if E's residual
+    exceeds STEADY_RESIDUAL_TOL; DomainError if a block is not finite. A
+    list of same-basis generators is solved as one stack, with one `inv` per
+    block, into a list of each one's checked, read-only (d, d) state or the
+    error it raises alone.
     """
     if isinstance(L, Superoperator):
         (state,) = _each_alone(_steady_states, [L])
@@ -326,8 +327,8 @@ def _within(rows: np.ndarray, x_ss: np.ndarray, target: np.ndarray, epsilon: np.
     coordinates of a state, is within trace distance `epsilon[i]` of the
     steady state `target[i]`, whose coordinates are `x_ss[i]`.
 
-    A norm screen decides most rows without the eigensolver. The frame and
-    Q are orthogonal, so ||x - x_ss||_2 is the Frobenius norm of the traceless
+    A norm screen decides most rows without the eigensolver. W is unitary,
+    so ||x - x_ss||_2 is the Frobenius norm of the traceless
     Hermitian difference, and a traceless Hermitian matrix has ||.||_F^2 <=
     2 D^2 (its positive and its negative eigenvalues each sum to D). A row
     with ||x - x_ss||_2^2 > 2 epsilon^2 (1 + _SCREEN_SLACK)^2 is thus out;
@@ -338,7 +339,7 @@ def _within(rows: np.ndarray, x_ss: np.ndarray, target: np.ndarray, epsilon: np.
     near = (diff * diff).sum(axis=-1) <= _SCREEN_SQUARED * (epsilon * epsilon)[:, None]
     point, row = np.nonzero(near)
     if point.size:
-        states = unvectorize_real(from_sectors(rows[point, row], sec), target.shape[-1])
+        states = from_sectors(rows[point, row], sec)
         dist = trace_distance_matrices(states, target[point])
         near[point, row] = dist <= epsilon[point]
     return near
@@ -422,7 +423,7 @@ def _characteristic_times(
     dts = np.ldexp(step_ns, shifts)
     steps = np.ceil(t_max_ns / dts)
     sec = sectors(liouvs[0].basis)
-    ys0 = to_sectors(vectorize_real(rho0), sec)
+    ys0 = to_sectors(rho0, sec)
     blocks = range(_occupied(ys0, sec))
     ladders = [_propagators(np.array([L.blocks[b] for L in liouvs]), dts, _BISECTION_RUNGS) for b in blocks]
     # each point's rungs over its occupied blocks, as deep as every block's go
@@ -441,7 +442,7 @@ def _characteristic_times(
     size = props.shape[-1]
     block = np.empty((len(liouvs), _MARCH_BLOCK + 1, size))
     block[:, 0] = ys0[:, :size]
-    live, targets = np.arange(len(liouvs)), (to_sectors(vectorize_real(steady), sec)[:, :size], steady, epsilon)
+    live, targets = np.arange(len(liouvs)), (to_sectors(steady, sec)[:, :size], steady, epsilon)
     for k0 in range(0, int(steps.max()), _MARCH_BLOCK):
         # a lone point steps by 2-D products, without the stack's per-call overhead
         prop, rows = (props[0], block[0]) if len(live) == 1 else (props, block[..., None].swapaxes(0, 1))
@@ -490,11 +491,14 @@ def characteristic_time(
     kept, runs a second Padé. Distance is trace distance to `steady`, or to
     the steady state of L.
 
-    A sequence of n same-basis generators is searched as one stack, with
-    one Padé evaluation and one march: `rho0` and `steady`, which must be
-    given, are then (n, d, d) stacks of checked states, `epsilon`,
-    `t_max_ns` and `step_ns` one value or one per generator, and the result is a list
-    holding each generator's T0 or the error that generator raises alone.
+    One generator takes DensityMatrix states and raises DomainError for
+    anything else. A sequence of n same-basis generators is searched as one
+    stack, with one Padé evaluation and one march: `rho0` and `steady`,
+    which must be given, are then (n, d, d) stacks, whose copies are checked
+    as states, so that a bad one raises for the whole call; `epsilon`,
+    `t_max_ns` and `step_ns` are one value or one per generator, and the
+    result is a list holding each generator's T0 or the error that
+    generator raises alone.
     """
     single = isinstance(L, Superoperator)
     n = 1 if single else len(L)
@@ -502,6 +506,8 @@ def characteristic_time(
     t_max_ns = np.full(n, DEFAULT_T_MAX_NS if t_max_ns is None else t_max_ns, dtype=float)
     step_ns = t_max_ns / _COARSE_STEPS if step_ns is None else np.full(n, step_ns, dtype=float)
     if single:
+        if not (isinstance(rho0, DensityMatrix) and isinstance(steady, (DensityMatrix, type(None)))):
+            raise DomainError("one generator takes its initial and steady states as DensityMatrix")
         _check_search(epsilon, t_max_ns, step_ns)
         rho_ss = steady if steady is not None else steady_state(L)
         if rho0.basis.labels != L.basis.labels or rho_ss.basis.labels != L.basis.labels:
@@ -510,12 +516,13 @@ def characteristic_time(
     else:
         if steady is None:
             raise DomainError("a stack of generators needs its steady states")
-        liouvs, rho0, steady = _stack(L), np.asarray(rho0), np.asarray(steady)
+        liouvs = _stack(L)
         shape = (n, L[0].dim, L[0].dim)
         if np.shape(rho0) != shape or np.shape(steady) != shape:
             raise DomainError(
                 f"initial and steady states must be {shape} stacks, got {np.shape(rho0)} and {np.shape(steady)}"
             )
+        rho0, steady = (physical_states(np.array(s, dtype=complex)) for s in (rho0, steady))
     out = _each_alone(_characteristic_times, liouvs, rho0, steady, epsilon, t_max_ns, step_ns)
     if not single:
         return out

@@ -4,21 +4,15 @@ Vectorization is column stacking throughout: ``vec(rho) = rho.flatten(order="F")
 and ``vec(A @ X @ B) = kron(B.T, A) @ vec(X)``. Every superoperator in the
 package, `Superoperator.matrix` among them, is built with this one convention.
 
-The dynamics run in a real frame: the d^2 coordinates of a Hermitian rho are
-rho_ii, then sqrt(2) Re rho_ij, then sqrt(2) Im rho_ij, i < j in
-`np.triu_indices` order (`vectorize_real`). The map T from vec(rho) to them
-is unitary, so singular values and trace norms are kept, and the trace is
-the sum of the first d coordinates. A generator that preserves Hermiticity
-is real there, `Superoperator.real_matrix` = T L T^dag, and a real matrix
-product costs a quarter of the flops of a complex one.
-
-The dot swap U (`basis.exchange`) acts on the real frame as a signed
-permutation of the coordinates, S(rho) = U rho U^dag. `sectors` gives the
-fixed orthogonal change of coordinates Q that splits them by its parity:
-an index selection on the effective bases, whose labels carry the parity,
-and +-1/sqrt(2) pairs on the product bases. Every generator of the package
-commutes with S, so Q G Q^T is block-diagonal (`Superoperator.blocks`), and
-a state that is exchange-even, as the trace is, lives in the even block.
+The dynamics run in one real frame, the exchange sectors of `sectors`: the
+fixed unitary W from vec(rho) to d^2 real coordinates of a Hermitian rho,
+split by the parity of the dot swap S(rho) = U rho U^dag (`basis.exchange`),
+even ones first. W is unitary, so singular values and trace norms are kept.
+A generator that preserves Hermiticity is real in this frame, where a matrix
+product costs a quarter of the flops of a complex one; every generator of
+the package commutes with S, so W L W^dag is block-diagonal
+(`Superoperator.blocks`), and a state that is exchange-even, as the trace
+is, lives in the even block.
 """
 
 from __future__ import annotations
@@ -39,8 +33,8 @@ POSITIVITY_TOL = 1e-8
 #: Diagonal shift of the Cholesky positivity screen of `physical_states`.
 _SCREEN_SHIFT = 0.9999 * POSITIVITY_TOL
 #: Largest part of a generator coupling its exchange-even and odd blocks,
-#: relative to its largest entry, that the block split may drop. Rounding
-#: leaves at most 1.6e-17 on the presets and the full16 point.
+#: relative to the largest entry of W L W^dag, that the block split may drop.
+#: Rounding leaves at most 1.6e-17 on the presets and the full16 point.
 EXCHANGE_TOL = 1e-13
 
 
@@ -153,44 +147,30 @@ class Superoperator:
         return self.basis.dim
 
     @cached_property
-    def real_matrix(self) -> np.ndarray:
-        """T L T^dag, computed once and read-only, from rows then columns of L
-        gathered over the pairs i < j in O(d^4), not by products with a dense T.
-        Raises DomainError if L does not preserve Hermiticity: if the dropped
-        imaginary part exceeds HERMITICITY_TOL x max |L|."""
-        d = self.dim
-        i, j = _pairs(d)
-        diag, up, lo = np.arange(d) * (d + 1), i + d * j, j + d * i
-        s = math.sqrt(0.5)
-        m = self.matrix
-        rows = np.concatenate([m[diag], s * (m[up] + m[lo]), -1j * s * (m[up] - m[lo])])
-        g = np.concatenate([rows[:, diag], s * (rows[:, up] + rows[:, lo]),
-                            1j * s * (rows[:, up] - rows[:, lo])], axis=1)
-        imag = float(np.abs(g.imag).max())
-        if imag > HERMITICITY_TOL * float(np.abs(m).max()):
-            raise DomainError(f"generator does not preserve Hermiticity: imaginary part {imag:.2e}")
-        g = np.ascontiguousarray(g.real)
-        g.setflags(write=False)
-        return g
-
-    @cached_property
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The even and odd blocks of Q G Q^T, G = `real_matrix` and Q of
-        `sectors`, read-only. Raises DomainError if the part coupling them
-        exceeds EXCHANGE_TOL x max |G|: the generator then breaks the dot
-        exchange, and dropping that part would change its dynamics."""
-        g = self.real_matrix
+        """The even and odd blocks of W L W^dag, W of `sectors`, real and
+        read-only, from one gather over the rows of L and one over its
+        columns. Raises DomainError if L does not preserve Hermiticity, that
+        is if the imaginary part of W L W^dag exceeds HERMITICITY_TOL x
+        max |L|, or if the part coupling the blocks exceeds EXCHANGE_TOL x
+        max |W L W^dag|: the generator then breaks the dot exchange, and
+        dropping that part would change its dynamics."""
         sec = sectors(self.basis)
+        index, coef = sec.w
+        g = _gather(_gather(self.matrix.T, index, coef).T, index, coef.conj())
+        imag = float(np.abs(g.imag).max())
+        if imag > HERMITICITY_TOL * float(np.abs(self.matrix).max()):
+            raise DomainError(f"generator does not preserve Hermiticity: imaginary part {imag:.2e}")
+        g = g.real
         n = sec.n_even
-        b = _apply(_apply(g, sec.q).T, sec.q).T
-        off = max(float(np.abs(b[:n, n:]).max(initial=0.0)), float(np.abs(b[n:, :n]).max(initial=0.0)))
+        off = max(float(np.abs(g[:n, n:]).max(initial=0.0)), float(np.abs(g[n:, :n]).max(initial=0.0)))
         scale = float(np.abs(g).max())
         if off > EXCHANGE_TOL * scale:
             raise DomainError(
                 f"generator breaks the dot exchange: its even and odd blocks couple by {off:.2e}, "
                 f"{off / scale:.1e} of its largest entry, above {EXCHANGE_TOL}"
             )
-        out = np.ascontiguousarray(b[:n, :n]), np.ascontiguousarray(b[n:, n:])
+        out = np.ascontiguousarray(g[:n, :n]), np.ascontiguousarray(g[n:, n:])
         for block in out:
             block.setflags(write=False)
         return out
@@ -198,103 +178,94 @@ class Superoperator:
 
 @dataclass(frozen=True)
 class Sectors:
-    """The exchange split of the real frame of a basis: the rows of Q, even
-    ones first, as gathers (`_apply`), Q^T likewise, the count of even rows,
-    and the trace row in even coordinates."""
+    """The exchange-sector frame of a basis: W and W^dag as (index,
+    coefficient) gathers (`_gather`), the rows of W^dag in the row-major
+    order of rho, so that its gather reshapes to the matrix; the count of
+    even rows of W, and the trace row in even coordinates."""
 
     n_even: int
-    q: tuple
-    qt: tuple
+    w: tuple[np.ndarray, np.ndarray]
+    w_adj: tuple[np.ndarray, np.ndarray]
     trace: np.ndarray
 
 
-def _gathers(m: np.ndarray) -> tuple:
-    """A matrix with one or two nonzeros per row as gathers: the first
-    nonzero of every row, then the rows with a second one and that nonzero."""
-    cols = [np.flatnonzero(row) for row in m]
-    first = np.array([c[0] for c in cols])
-    two = np.array([r for r, c in enumerate(cols) if len(c) == 2], dtype=int)
-    second = np.array([cols[r][1] for r in two], dtype=int)
-    return first, m[np.arange(len(m)), first], two, second, m[two, second]
-
-
-def _apply(x: np.ndarray, gathers: tuple) -> np.ndarray:
-    """M x on the last axis of `x`, for M given by `_gathers`. A row with
-    one nonzero has the coefficient 1, so M is a selection on a basis
-    without pairs, and its coordinates stay bitwise."""
-    first, c_first, two, second, c_second = gathers
-    y = x[..., first]
-    if two.size:
-        y *= c_first
-        y[..., two] += x[..., second] * c_second
+def _gather(x: np.ndarray, index: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """M x on the last axis of `x`, complex, for the M whose row r is the
+    sum over k of coef[r, k] e_index[r, k]. Each term is scaled in place and
+    added to the first: one (..., n, K) temporary costs about three times as
+    much on full16, and a new product per term a third more."""
+    y = np.asarray(x[..., index[:, 0]], dtype=complex)
+    y *= coef[:, 0]
+    for k in range(1, index.shape[1]):
+        term = np.asarray(x[..., index[:, k]], dtype=complex)
+        term *= coef[:, k]
+        y += term
     return y
 
 
 @cache
 def sectors(basis: ModelBasis) -> Sectors:
-    """The exchange split of the d^2 real-frame coordinates of `basis`.
+    """The exchange-sector frame of `basis`: W = Q T, composed from the
+    gathers of T and Q, never as a dense product, with 2 terms per row on
+    the effective bases, whose labels carry the parity, and 4 on the product
+    bases.
 
-    S maps the diagonal coordinate of i to that of image(i), and the pair
-    (i, j) to (image(i), image(j)) with the sign sign(i) sign(j); when the
-    swap reverses the pair's order, its imaginary coordinate changes sign.
+    T takes vec(rho) to rho_ii, then sqrt(2) Re rho_ij, then sqrt(2) Im
+    rho_ij, i < j in `np.triu_indices` order. S maps the diagonal coordinate
+    of i to that of image(i), and the pair (i, j) to (image(i), image(j))
+    with the sign sign(i) sign(j); when the swap reverses the pair's order,
+    its imaginary coordinate changes sign. Q is `parity_split` of S, one
+    term per row where S fixes every coordinate.
     """
     d = basis.dim
     image, sign = exchange(basis)
-    i, j = _pairs(d)
+    i, j = np.triu_indices(d, 1)
+    n = len(i)
+    diag, up, lo = np.arange(d) * (d + 1), i + d * j, j + d * i
+    s = math.sqrt(0.5)
+    # the imaginary rows list lo first, so each column of the index is a permutation
+    t_index = np.concatenate([np.stack([diag, diag], axis=1), np.stack([up, lo], axis=1), np.stack([lo, up], axis=1)])
+    t_coef = np.repeat([[1.0, 0.0], [s, s], [1j * s, -1j * s]], [d, n, n], axis=0)
     pair = np.zeros((d, d), dtype=int)
-    pair[i, j] = np.arange(len(i))
+    pair[i, j] = np.arange(n)
     a, b = image[i], image[j]
     p = pair[np.minimum(a, b), np.maximum(a, b)]
-    s = sign[i] * sign[j]
-    q, n_even = parity_split(
-        np.concatenate([image, d + p, d + len(i) + p]),
-        np.concatenate([np.ones(d), s, np.where(a < b, s, -s)]),
+    sign_pair = sign[i] * sign[j]
+    q_index, q_coef, n_even = parity_split(
+        np.concatenate([image, d + p, d + n + p]),
+        np.concatenate([np.ones(d), sign_pair, np.where(a < b, sign_pair, -sign_pair)]),
     )
-    trace = q[:n_even, :d].sum(axis=1)
-    trace.setflags(write=False)
-    return Sectors(n_even, _gathers(q), _gathers(q.T), trace)
+    if not q_coef[:, 1].any():
+        q_index, q_coef = q_index[:, :1], q_coef[:, :1]
+    index = t_index[q_index].reshape(d * d, -1)
+    coef = (q_coef[..., None] * t_coef[q_index]).reshape(d * d, -1)
+    # as in T and Q, each column of W's index is a permutation, and its
+    # inverse gathers W^dag; row c = a d + b of W^dag gives rho_ab, entry
+    # a + d b of vec(rho). A scatter, as a sort would page in ~0.25 MB of code
+    inverse = np.empty_like(index)
+    inverse[index % d * d + index // d, np.arange(index.shape[1])] = np.arange(d * d)[:, None]
+    w_adj = inverse, np.take_along_axis(coef, inverse, axis=0).conj()
+    # Tr rho = <vec(I), vec(rho)> = <W vec(I), W vec(rho)>, and I is even
+    trace = _gather(np.eye(d).ravel(), index, coef).real[:n_even].copy()
+    for arr in (index, coef, *w_adj, trace):
+        arr.setflags(write=False)
+    return Sectors(n_even, (index, coef), w_adj, trace)
 
 
-def to_sectors(x: np.ndarray, sec: Sectors) -> np.ndarray:
-    """Q x: real-frame coordinates on the last axis in sector coordinates."""
-    return _apply(x, sec.q)
+def to_sectors(rho: np.ndarray, sec: Sectors) -> np.ndarray:
+    """W vec(rho): Hermitian matrices on the last two axes in sector coordinates."""
+    vec = rho.swapaxes(-1, -2).reshape(*rho.shape[:-2], -1)
+    return _gather(vec, *sec.w).real
 
 
 def from_sectors(y: np.ndarray, sec: Sectors) -> np.ndarray:
-    """Q^T y: sector coordinates on the last axis back in the real frame;
-    a `y` shorter than d^2 holds the leading sectors, the rest are zero."""
-    full = y.shape[-1] - len(sec.q[0])
-    if full:
-        y = np.concatenate([y, np.zeros((*y.shape[:-1], -full))], axis=-1)
-    return _apply(y, sec.qt)
-
-
-@cache
-def _pairs(dim: int) -> tuple[np.ndarray, ...]:
-    """Read-only (i, j), i < j in `np.triu_indices` order: the off-diagonal coordinates."""
-    pairs = np.triu_indices(dim, 1)
-    for index in pairs:
-        index.setflags(write=False)
-    return pairs
-
-
-def vectorize_real(rho: np.ndarray) -> np.ndarray:
-    """Real-frame coordinates of Hermitian matrices, on the last two axes."""
-    i, j = _pairs(rho.shape[-1])
-    off = math.sqrt(2.0) * rho[..., i, j]
-    return np.concatenate([rho.diagonal(axis1=-2, axis2=-1).real, off.real, off.imag], axis=-1)
-
-
-def unvectorize_real(x: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of `vectorize_real` on the last axis, broadcast over leading
-    ones: new complex matrices, Hermitian by construction."""
-    i, j = _pairs(dim)
-    rho = np.empty((*x.shape[:-1], dim, dim), dtype=complex)
-    rho[..., range(dim), range(dim)] = x[..., :dim]
-    off = (x[..., dim:dim + len(i)] + 1j * x[..., dim + len(i):]) * math.sqrt(0.5)
-    rho[..., i, j] = off
-    rho[..., j, i] = off.conj()
-    return rho
+    """W^dag y: sector coordinates on the last axis back to new complex
+    Hermitian matrices; a `y` shorter than d^2 holds the leading sectors,
+    the rest are zero."""
+    d = math.isqrt(len(sec.w[0]))
+    full = np.zeros((*y.shape[:-1], d * d))
+    full[..., :y.shape[-1]] = y
+    return _gather(full, *sec.w_adj).reshape(*y.shape[:-1], d, d)
 
 
 def trace_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> float | np.ndarray:

@@ -25,7 +25,7 @@ from .dissipators import (
     phonon_channels,
     spontaneous_collapse_ops,
 )
-from .dynamics import Trajectory, _each_alone, characteristic_time, evolve, steady_state
+from .dynamics import Trajectory, _characteristic_times, _each_alone, evolve, steady_state
 from .entanglement import qubit_concurrences
 from .errors import ConfigError, DomainError, QdmError
 from .hamiltonians import (
@@ -193,10 +193,11 @@ def _t0_ceiling_ns(config: ScenarioConfig) -> float:
     return max(config.t_grid[1], 50.0 * HBAR_UEV_NS / gamma) if gamma > 0.0 else math.inf
 
 
-#: Most bytes of a chunk's n whole real (d^2, d^2) generators: 12 effective6,
-#: 4 effective8, 2 full9, 1 full16 points, so each even-block stack, or its
-#: inverse, is smaller. Stacking saves per-call overhead, and a larger stack
-#: raises the peak memory; a new cap would move every chunk's shape and timing.
+#: Most bytes of a chunk's points, counted as one real (d^2, d^2) matrix
+#: each: 12 effective6, 4 effective8, 2 full9, 1 full16 points, so each
+#: even-block stack, or its inverse, is smaller. Stacking saves per-call
+#: overhead, and a larger stack raises the peak memory; a new cap would move
+#: every chunk's shape and timing.
 _STACK_BYTES = 128 * 1024
 
 
@@ -216,13 +217,15 @@ def _solve_chunk(
     if not solved:
         return out
     stack = np.array([out[n] for n in solved])
-    t0s = characteristic_time(
+    # both stacks hold checked states, so the search core takes them as they are
+    t0s = _each_alone(
+        _characteristic_times,
         [liouvs[n] for n in solved],
         np.array([rho0s[n].matrix for n in solved]),
-        epsilon=[configs[n].epsilon_T0 for n in solved],
-        t_max_ns=[_t0_ceiling_ns(configs[n]) for n in solved],
-        steady=stack,
-        step_ns=[configs[n].times_ns()[1] for n in solved],
+        stack,
+        np.array([configs[n].epsilon_T0 for n in solved], dtype=float),
+        np.array([_t0_ceiling_ns(configs[n]) for n in solved], dtype=float),
+        np.array([configs[n].times_ns()[1] for n in solved], dtype=float),
     )
 
     def steady_concurrences(states: np.ndarray) -> list[tuple[float, float]]:

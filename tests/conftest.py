@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -34,8 +35,6 @@ from qdm.operators import (
     OperatorMatrix,
     Superoperator,
     trace_distance_matrices,
-    unvectorize_real,
-    vectorize_real,
 )
 from qdm.params import HBAR_UEV_NS, CouplingParams, DriveParams
 from qdm.physics import bose_occupation, spectral_density
@@ -108,9 +107,11 @@ def trace_preservation_defect(sup):
     return float(np.abs(sup.matrix.conj().T @ ident).max())
 
 
+@cache
 def dense_frame(dim):
-    """The unitary T from vec(rho) to real-frame coordinates, as a dense matrix:
-    the diagonal, then sqrt(2) Re rho_ij, then sqrt(2) Im rho_ij, i < j."""
+    """The unitary T from vec(rho) to real-frame coordinates, as a dense,
+    read-only matrix: the diagonal, then sqrt(2) Re rho_ij, then sqrt(2) Im
+    rho_ij, i < j."""
     i, j = np.triu_indices(dim, 1)
     n = len(i)
     t = np.zeros((dim * dim, dim * dim), dtype=complex)
@@ -118,7 +119,26 @@ def dense_frame(dim):
     for k, (up, lo) in enumerate(zip(i + dim * j, j + dim * i)):
         t[dim + k, [up, lo]] = np.sqrt(0.5)
         t[dim + n + k, [up, lo]] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
+    t.setflags(write=False)
     return t
+
+
+def real_generator(sup):
+    """T L T^dag, the whole real generator, as a dense product: the frame
+    of the unreduced oracles, built without the package's sectors."""
+    frame = dense_frame(sup.dim)
+    return (frame @ sup.matrix @ frame.conj().T).real
+
+
+def to_real(rho):
+    """T vec(rho): real-frame coordinates of Hermitian matrices on the last two axes."""
+    rho = np.asarray(rho, dtype=complex)
+    return (rho.swapaxes(-1, -2).reshape(*rho.shape[:-2], -1) @ dense_frame(rho.shape[-1]).T).real
+
+
+def from_real(x, dim):
+    """T^dag x: real-frame coordinates on the last axis back to complex matrices."""
+    return np.ascontiguousarray(unvectorize(x @ dense_frame(dim).conj(), dim))
 
 
 def exchange_by_hand(basis):
@@ -324,14 +344,14 @@ def serial_characteristic_time(L, rho0, epsilon, t_max_ns, steady=None):
     Returns (t_hi, k_hit), or None when no step comes within epsilon.
     """
     target = (steady if steady is not None else dynamics.steady_state(L)).matrix
-    gen = L.real_matrix
+    gen = real_generator(L)
     dt = t_max_ns / dynamics._COARSE_STEPS
     step = dynamics._propagator(gen, dt)
 
     def dist(v):
-        return trace_distance_matrices(unvectorize_real(v, rho0.dim), target)
+        return trace_distance_matrices(from_real(v, rho0.dim), target)
 
-    v = vectorize_real(rho0.matrix)
+    v = to_real(rho0.matrix)
     for k in range(1, dynamics._COARSE_STEPS + 1):
         v_next = step @ v
         if dist(v_next) <= epsilon:
@@ -364,7 +384,7 @@ def serial_characteristic_time(L, rho0, epsilon, t_max_ns, steady=None):
 def steady_state_by_point(L):
     """One generator's steady state, solved alone: full `svd` null count,
     trace-row solve, residual, then the DensityMatrix check."""
-    gen = L.real_matrix
+    gen = real_generator(L)
     sv = np.linalg.svd(gen, compute_uv=False)
     null_count = int(np.sum(sv < NULL_SINGULAR_VALUE_TOL))
     if null_count != 1:
@@ -379,7 +399,7 @@ def steady_state_by_point(L):
     residual = np.linalg.norm(gen @ x)
     if residual > STEADY_RESIDUAL_TOL:
         raise DegenerateSteadyStateError(f"steady-state residual {residual:.2e}")
-    return DensityMatrix(L.basis, unvectorize_real(x, dim))
+    return DensityMatrix(L.basis, from_real(x, dim))
 
 
 def sweep_rows_by_point(points, configs):

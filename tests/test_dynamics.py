@@ -16,7 +16,9 @@ from conftest import (
     full16_config,
     propagator_expm,
     random_density,
+    real_generator,
     serial_characteristic_time,
+    to_real,
     trace_distance,
     unvectorize,
     vectorize,
@@ -42,7 +44,6 @@ from qdm.operators import (
     DensityMatrix,
     Superoperator,
     trace_distance_matrices,
-    vectorize_real,
 )
 from qdm.params import HBAR_UEV_NS, CouplingParams, DriveParams
 from qdm.scenarios import build_liouvillian, initial_state, scenario_presets
@@ -161,7 +162,7 @@ def test_real_frame_propagator_matches_the_complex_one(name):
     sup = build_liouvillian(config)
     frame = dense_frame(sup.dim)
     for t_ns in (0.195, 5.0):
-        mapped = frame.conj().T @ dynamics._propagator(sup.real_matrix, t_ns) @ frame
+        mapped = frame.conj().T @ dynamics._propagator(real_generator(sup), t_ns) @ frame
         for reference in (
             dynamics._propagator(sup.matrix, t_ns),
             la.expm(sup.matrix * (t_ns / HBAR_UEV_NS)),
@@ -174,7 +175,7 @@ def test_real_frame_propagator_matches_the_complex_one(name):
 def test_propagator_ladder_levels_are_bitwise_propagators(name):
     sup = build_liouvillian(scenario_presets()[name])
     times = np.array([0.107, 0.78125, 7.8125])
-    for gen in (sup.matrix, sup.real_matrix):
+    for gen in (sup.matrix, real_generator(sup)):
         # one stack whose points take different squaring counts
         rungs, squarings = dynamics._propagators(np.array([gen] * len(times)), times, 20)
         assert 0 < squarings[0] < squarings[-1] <= 20
@@ -187,7 +188,7 @@ def test_propagator_ladder_levels_are_bitwise_propagators(name):
 def test_kept_rungs_hold_no_square_of_the_stack_alive():
     sup = build_liouvillian(scenario_presets()["fig3a"])
     times = np.array([0.107, 0.78125, 7.8125])
-    rungs, _ = dynamics._propagators(np.array([sup.real_matrix] * len(times)), times, 20)
+    rungs, _ = dynamics._propagators(np.array([real_generator(sup)] * len(times)), times, 20)
     assert all(level.base is None and level.shape == (36, 36) for rung in rungs for level in rung)
 
 
@@ -255,7 +256,7 @@ def test_steady_state_degenerate_full16_without_tunneling():
     with pytest.raises(DegenerateSteadyStateError, match="block may be singular"):
         steady_state(liouv)
     # the SVD oracle: the null space has 4 dimensions
-    assert (np.linalg.svd(liouv.real_matrix, compute_uv=False) < NULL_SINGULAR_VALUE_TOL).sum() == 4
+    assert (np.linalg.svd(real_generator(liouv), compute_uv=False) < NULL_SINGULAR_VALUE_TOL).sum() == 4
 
 
 #: Zero drive, zero decay and zero modulation on seven setups. The pairs in
@@ -391,13 +392,13 @@ def test_trace_distance_bounds_the_real_frame_norm():
             h = g + g.conj().T
             h -= np.trace(h) / dim * np.eye(dim)
             for a, b in ((m1, m2), (h, np.zeros((dim, dim)))):
-                norm = np.linalg.norm(vectorize_real(a) - vectorize_real(b))
+                norm = np.linalg.norm(to_real(a) - to_real(b))
                 assert trace_distance_matrices(a, b) >= norm / np.sqrt(2) * (1 - 1e-12)
             # a (|u><u| - |v><v|) with u, v orthonormal
             q, _ = np.linalg.qr(g)
             u, v = q[:, 0], q[:, 1]
             delta = rng.uniform(0.01, 1.0) * (np.outer(u, u.conj()) - np.outer(v, v.conj()))
-            norm = np.linalg.norm(vectorize_real(delta))
+            norm = np.linalg.norm(to_real(delta))
             d = trace_distance_matrices(delta, np.zeros((dim, dim)))
             assert abs(d - norm / np.sqrt(2)) <= 1e-12 * d
 
@@ -536,6 +537,26 @@ def test_stacked_t0_search_rejects_missing_or_misshaped_states(liouv6, paper_mix
         characteristic_time([liouv6] * 2, rho0s[:1], steady=np.array([steady] * 2))
     with pytest.raises(DomainError, match="no generators"):
         characteristic_time([], rho0s[:0], steady=rho0s[:0])
+
+
+def test_t0_search_checks_the_states_it_takes(liouv6, paper_mixture):
+    steady = steady_state(liouv6)
+    rho0s, steadies = np.array([paper_mixture.matrix]), np.array([steady.matrix])
+    # a stack of non-finite or trace-2 states raises for the whole call, not
+    # as a timeout of its point; the caller's stacks are left alone
+    for bad in (np.full((1, 6, 6), np.nan), 2.0 * rho0s):
+        before = bad.copy()
+        with pytest.raises(PositivityError):
+            characteristic_time([liouv6], bad, steady=steadies)
+        with pytest.raises(PositivityError):
+            characteristic_time([liouv6], rho0s, steady=bad)
+        np.testing.assert_array_equal(bad, before)
+    # one generator takes DensityMatrix states only
+    with pytest.raises(DomainError, match="DensityMatrix"):
+        characteristic_time(liouv6, paper_mixture.matrix)
+    with pytest.raises(DomainError, match="DensityMatrix"):
+        characteristic_time(liouv6, paper_mixture, steady=steady.matrix)
+    assert characteristic_time([liouv6], rho0s, steady=steadies) == [characteristic_time(liouv6, paper_mixture)]
 
 
 def test_stacked_solves_give_b_the_rank_of_a(liouv6, paper_mixture, monkeypatch):

@@ -3,17 +3,19 @@ import pytest
 import scipy.linalg as la
 
 from conftest import (
+    TWO_QUBIT_BASIS,
     apply,
     dense_frame,
     exchange_superoperator,
     full16_config,
     lindblad_term,
     random_density,
+    real_generator,
     trace_distance,
     unvectorize,
     vectorize,
 )
-from qdm.basis import effective6
+from qdm.basis import effective6, full9
 from qdm.dynamics import characteristic_time, evolve, steady_state
 from qdm.errors import BasisMismatchError, DomainError, PositivityError
 from qdm.operators import (
@@ -27,8 +29,6 @@ from qdm.operators import (
     sectors,
     to_sectors,
     trace_distance_matrices,
-    unvectorize_real,
-    vectorize_real,
 )
 from qdm.scenarios import build_liouvillian, initial_state, scenario_presets
 
@@ -216,36 +216,58 @@ def test_wrappers_copy_the_callers_array(basis6):
         assert not w.matrix.flags.writeable
 
 
-@pytest.mark.parametrize("dim", [4, 6, 9])
+def _dense(gathers):
+    """The dense matrix of (index, coefficient) gathers: row r is the sum over
+    k of coef[r, k] e_index[r, k]."""
+    index, coef = gathers
+    m = np.zeros((len(index), len(index)), dtype=complex)
+    np.add.at(m, (np.arange(len(index))[:, None], index), coef)
+    return m
+
+
+#: A basis of each kind of W by dimension: the two-qubit product basis,
+#: effective6 (labels that carry the parity) and full9.
+_ROUND_TRIP_BASES = {4: TWO_QUBIT_BASIS, 6: effective6(), 9: full9()}
+
+
+@pytest.mark.parametrize("dim", list(_ROUND_TRIP_BASES))
 def test_real_coordinates_round_trip(dim):
+    basis = _ROUND_TRIP_BASES[dim]
+    sec = sectors(basis)
     stack = np.array([random_density(dim, seed) for seed in range(5)])
     stack[1] -= np.eye(dim) / dim  # Hermitian but not a state
-    x = vectorize_real(stack)
-    assert x.dtype == float and x.shape == (5, dim * dim)
-    frame = dense_frame(dim)
-    for row, m in zip(x, stack):
-        np.testing.assert_allclose(row, (frame @ vectorize(m)).real, atol=1e-15)
-        assert abs(row[:dim].sum() - m.trace().real) < 1e-15
-    back = unvectorize_real(x, dim)
+    y = to_sectors(stack, sec)
+    assert y.dtype == float and y.shape == (5, dim * dim)
+    w = _dense(sec.w)
+    for row, m in zip(y, stack):
+        np.testing.assert_allclose(row, (w @ vectorize(m)).real, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(row), np.linalg.norm(m), rtol=1e-15)
+        # the trace row reads the trace off the even coordinates
+        assert abs(sec.trace @ row[:sec.n_even] - m.trace().real) < 1e-15
+    back = from_sectors(y, sec)
     np.testing.assert_allclose(back, stack, atol=1e-15)
     assert np.array_equal(back, back.conj().swapaxes(1, 2))
     # a single matrix is the stack's row
-    np.testing.assert_array_equal(vectorize_real(stack[3]), x[3])
-    np.testing.assert_array_equal(unvectorize_real(x[3], dim), back[3])
+    np.testing.assert_array_equal(to_sectors(stack[3], sec), y[3])
+    np.testing.assert_array_equal(from_sectors(y[3], sec), back[3])
 
 
 @pytest.mark.parametrize("name", ["fig3a", "fig3a_full9", "fig4a", "full16"])
 def test_real_generator_is_the_dense_frame_product(name):
     config = full16_config() if name == "full16" else scenario_presets()[name]
     sup = build_liouvillian(config)
-    frame = dense_frame(sup.dim)
-    want = frame @ sup.matrix @ frame.conj().T
-    scale = np.abs(sup.matrix).max()
-    assert np.abs(want.imag).max() < 1e-15 * scale
-    gen = sup.real_matrix
-    assert gen.dtype == float and not gen.flags.writeable
-    np.testing.assert_allclose(gen, want.real, rtol=0, atol=1e-15 * scale)
-    assert sup.real_matrix is gen  # computed once per generator
+    sec = sectors(sup.basis)
+    # W = Q T with Q real: the dense oracle Q (T L T^dag) Q^T
+    q = _dense(sec.w) @ dense_frame(sup.dim).conj().T
+    assert np.abs(q.imag).max() < 1e-15
+    want = q.real @ real_generator(sup) @ q.real.T
+    scale = np.abs(want).max()
+    even, odd = sup.blocks
+    n = sec.n_even
+    assert even.dtype == odd.dtype == float and not (even.flags.writeable or odd.flags.writeable)
+    np.testing.assert_allclose(even, want[:n, :n], rtol=0, atol=1e-14 * scale)
+    np.testing.assert_allclose(odd, want[n:, n:], rtol=0, atol=1e-14 * scale)
+    assert sup.blocks[0] is even  # computed once per generator
 
 
 def test_real_generator_rejects_a_non_hermitian_hamiltonian(basis6, liouv6, paper_mixture):
@@ -256,7 +278,7 @@ def test_real_generator_rejects_a_non_hermitian_hamiltonian(basis6, liouv6, pape
     ident = np.eye(6)
     sup = Superoperator(basis6, liouv6.matrix - 1j * (np.kron(ident, dh) - np.kron(dh.T, ident)))
     with pytest.raises(DomainError, match="Hermiticity"):
-        sup.real_matrix
+        sup.blocks
     with pytest.raises(DomainError, match="Hermiticity"):
         evolve(paper_mixture, sup, np.linspace(0.0, 1.0, 3))
 
@@ -275,32 +297,27 @@ def test_sectors_split_the_real_frame_by_exchange_parity(name):
     sec = sectors(basis)
     n_even, n_odd = _SECTOR_CASES[name]
     assert sec.n_even == n_even and d * d == n_even + n_odd
-    # the exchange superoperator in the real frame, from the dense frame T
-    frame = dense_frame(d)
-    swap = frame @ exchange_superoperator(basis) @ frame.conj().T
-    assert np.abs(swap.imag).max() < 1e-15
-    q = to_sectors(np.eye(d * d), sec).T  # the rows of Q
-    assert np.abs(q @ q.T - np.eye(d * d)).max() < 1e-15
+    w = _dense(sec.w)
+    assert np.abs(w @ w.conj().T - np.eye(d * d)).max() < 1e-15
     parity = np.diag([1.0] * n_even + [-1.0] * n_odd)
-    assert np.abs(q @ swap.real @ q.T - parity).max() < 1e-15
-    if basis.kind.value.startswith("effective"):  # an index selection
-        assert set(np.unique(q)) == {0.0, 1.0}
-    # Q^T inverts Q, and the trace row reads the trace off the even coordinates
-    rho = random_density(d, 11)
-    y = to_sectors(vectorize_real(rho), sec)
-    assert np.abs(from_sectors(y, sec) - vectorize_real(rho)).max() < 1e-15
-    assert abs(sec.trace @ y[:n_even] - 1.0) < 1e-14
+    assert np.abs(w @ exchange_superoperator(basis) @ w.conj().T - parity).max() < 1e-15
+    # 2 terms per row where the labels carry the parity, 4 on product bases
+    terms = 2 if basis.kind.value.startswith("effective") else 4
+    assert sec.w[0].shape == sec.w_adj[0].shape == (d * d, terms)
+    # W^dag's gathers, rows in the row-major order of rho, are the adjoint of W
+    rows = np.arange(d * d).reshape(d, d).T.ravel()
+    np.testing.assert_array_equal(_dense(sec.w_adj), w.conj().T[rows])
 
 
 @pytest.mark.parametrize("name", list(_SECTOR_CASES))
 def test_blocks_are_the_diagonal_blocks_of_the_generator_in_sector_coordinates(name):
     sup = build_liouvillian(_sector_config(name))
-    sec = sectors(sup.basis)
-    q = to_sectors(np.eye(sup.dim**2), sec).T
-    split = q @ sup.real_matrix @ q.T
+    w = _dense(sectors(sup.basis).w)
+    split = w @ sup.matrix @ w.conj().T
     even, odd = sup.blocks
-    n = sec.n_even
-    scale = np.abs(sup.real_matrix).max()
+    n = len(even)
+    scale = np.abs(split).max()
+    assert np.abs(split.imag).max() <= 1e-14 * scale
     assert np.abs(even - split[:n, :n]).max() <= 1e-14 * scale
     assert np.abs(odd - split[n:, n:]).max() <= 1e-14 * scale
     assert max(np.abs(split[:n, n:]).max(), np.abs(split[n:, :n]).max()) <= EXCHANGE_TOL * scale

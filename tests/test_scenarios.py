@@ -8,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import full16_config, serial_characteristic_time, steady_state_by_point, sweep_rows_by_point
+from conftest import (
+    from_real,
+    full16_config,
+    real_generator,
+    serial_characteristic_time,
+    steady_state_by_point,
+    sweep_rows_by_point,
+    to_real,
+)
 from qdm import dissipators, dynamics, scenarios
 from qdm.dynamics import NULL_SINGULAR_VALUE_TOL, characteristic_time
 from qdm.entanglement import qubit_concurrence
@@ -128,16 +136,18 @@ def test_unresolvable_null_space_is_named(name, record, changes):
 
 
 def test_presets_null_counts_resolve_with_room_to_spare():
-    presets = scenario_presets()
-    configs = dict(presets)
-    # the full16 point of the dressed resonance, the largest generator
-    configs["full16"] = dataclasses.replace(
-        presets["fig4a"], model="full16", drive=dataclasses.replace(presets["fig4a"].drive, detuning=398.0)
-    )
+    configs = dict(scenario_presets())
+    configs["full16"] = full16_config(398.0)  # the full16 point, the largest generator
     for name, config in configs.items():
-        sigma_max = np.linalg.svd(build_liouvillian(config).real_matrix, compute_uv=False)[0]
-        floor = np.finfo(float).eps * sigma_max
-        assert floor < 1e-2 * NULL_SINGULAR_VALUE_TOL, (name, floor)
+        # the steady state's rounding floor, eps max(||A||_F, ||O||_F) of the
+        # bordered even block A and the odd block O
+        liouv = build_liouvillian(config)
+        bordered, odd = np.array(liouv.blocks[0]), liouv.blocks[1]
+        bordered[0] = dynamics.sectors(liouv.basis).trace
+        floor = np.finfo(float).eps * max(np.linalg.norm(bordered), np.linalg.norm(odd))
+        # measured at most 4.64e-11 (full16) and 2.03e-11 (fig4a): a bound of
+        # 0.1 NULL_SINGULAR_VALUE_TOL keeps twice the largest
+        assert floor < 0.1 * NULL_SINGULAR_VALUE_TOL, (name, floor)
 
 
 def _sweep_preset_generators(monkeypatch):
@@ -353,7 +363,7 @@ def test_sweep_T0_without_decay_gives_its_row_and_the_sweep_goes_on():
     assert "block may be singular" in failed[-1] and math.isnan(failed[4])
     # the SVD oracle: the undamped generator's null space is not one-dimensional
     undamped = dataclasses.replace(undamped, drive=dataclasses.replace(undamped.drive, omega_m=9.0))
-    sv = np.linalg.svd(build_liouvillian(undamped).real_matrix, compute_uv=False)
+    sv = np.linalg.svd(real_generator(build_liouvillian(undamped)), compute_uv=False)
     assert (sv < NULL_SINGULAR_VALUE_TOL).sum() > 1
     assert solved[-1] == "" and solved[4] > 0.0
 
@@ -452,17 +462,17 @@ def test_sweeps_call_each_solver_layer_once_per_chunk(monkeypatch):
 
         return wrapper
 
-    for name in ("steady_state", "characteristic_time", "initial_state"):
+    for name in ("steady_state", "_characteristic_times", "initial_state"):
         monkeypatch.setattr(scenarios, name, counted(name))
     presets = scenario_presets()
     # 15 effective6 points in chunks of 12
     sweep_T0(presets["fig3b"], [20.0], np.linspace(2.0, 20.0, 15).tolist(), [1.2])
-    assert calls.count("steady_state") == calls.count("characteristic_time") == 2
+    assert calls.count("steady_state") == calls.count("_characteristic_times") == 2
     assert calls.count("initial_state") == 1
     calls.clear()
     # 5 effective6 points at t_e = 0, and 15 effective8 points in chunks of 4
     sweep_temperature(presets["fig4b"], [0.0, 0.5, 1.0, 2.0, 4.0], [0.0, 1000.0, 2000.0, 3000.0])
-    assert calls.count("steady_state") == calls.count("characteristic_time") == 5
+    assert calls.count("steady_state") == calls.count("_characteristic_times") == 5
     assert calls.count("initial_state") == 2
 
 
@@ -573,10 +583,10 @@ def test_runs_match_the_unreduced_oracle(name):
     assert np.abs(result.steady.matrix - steady.matrix).max() <= 1e-12
     t0, _ = serial_characteristic_time(liouv, rho0, config.epsilon_T0, scenarios._t0_ceiling_ns(config), steady)
     assert abs(result.t0_ns - t0) <= 0.02 * t0, (result.t0_ns, t0)
-    step = dynamics._propagator(liouv.real_matrix, config.times_ns()[1])
-    x = dynamics.vectorize_real(rho0.matrix)
+    step = dynamics._propagator(real_generator(liouv), config.times_ns()[1])
+    x = to_real(rho0.matrix)
     for k, state in enumerate(result.trajectory.matrices):
-        assert np.abs(state - dynamics.unvectorize_real(x, liouv.dim)).max() <= 1e-11, k
+        assert np.abs(state - from_real(x, liouv.dim)).max() <= 1e-11, k
         x = step @ x
 
 
