@@ -174,7 +174,7 @@ def _thermal_jumps(basis: ModelBasis, channels: list, temperature: float) -> Col
     """The jump operators of `phonon_channels` at a checked `temperature` (K)."""
     ops, labels = [], []
     for omega, j, p, down, up in channels:
-        occ = bose_occupation(omega, temperature) if temperature > 0 else 0.0
+        occ = bose_occupation(omega, temperature)
         ops.append(math.sqrt(j * (occ + 1.0)) * p)
         labels.append(down)
         if occ > 0.0:

@@ -150,13 +150,6 @@ def _propagator(gen: np.ndarray, t_ns: float) -> np.ndarray:
     return _propagators(gen[None], np.array([t_ns], dtype=float), 0)[0][0][0]
 
 
-def _block_propagator(L: Superoperator, block: int, t_ns: float) -> np.ndarray:
-    """exp(G_b t) of block `block` of L: the one a T0 search left in `L.memo`
-    for this step, or a new Padé."""
-    prop = L.memo.get((block, t_ns))
-    return _propagator(L.blocks[block], t_ns) if prop is None else prop
-
-
 def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
     """The block-diagonal matrix (or stack) of `mats`; one matrix is itself."""
     if len(mats) == 1:
@@ -211,7 +204,8 @@ def evolve(rho0: DensityMatrix, L: Superoperator, t_grid_ns: np.ndarray) -> Traj
         if prop is None:
             key = next((s for s in props if abs(s - dt) <= same_step), dt)
             if key not in props:
-                props[key] = _block_diag([_block_propagator(L, b, key) for b in blocks])
+                props[key] = _block_diag([L.memo[b, key] if (b, key) in L.memo else _propagator(L.blocks[b], key)
+                                          for b in blocks])
             prop = step_prop[dt] = props[key]
         np.matmul(prop, vecs[i - 1], out=vecs[i])
     stack = physical_states(from_sectors(vecs, sec))
@@ -245,14 +239,12 @@ def _stack(L: Sequence[Superoperator]) -> list[Superoperator]:
 
 def _inverses(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """M^-1 of an (n, k, k) stack, the bound 1/||M^-1||_F <= sigma_min(M) (0 where
-    M^-1 is not finite) and ||M||_F, norms over each matrix's largest entry against
-    overflow. An exactly singular M alone gets bound 0; a stack re-raises LAPACK's."""
+    M^-1 is not finite; a failed stacked `inv` is redone matrix by matrix) and
+    ||M||_F, norms over each matrix's largest entry against overflow."""
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:
-        if len(m) > 1:
-            raise
-        inv = np.full_like(m, np.nan)
+        inv = np.full_like(m, np.nan) if len(m) == 1 else np.concatenate([_inverses(x[None])[0] for x in m])
     pair = np.stack([m, inv])
     scale = np.maximum(np.abs(pair).max(axis=(-2, -1)), np.finfo(float).tiny)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm fails its check
@@ -314,12 +306,11 @@ def steady_state(L: Superoperator | Sequence[Superoperator]) -> DensityMatrix | 
     block, into a list of each one's checked, read-only (d, d) state or the
     error it raises alone.
     """
-    if isinstance(L, Superoperator):
-        (state,) = _each_alone(_steady_states, [L])
-        if isinstance(state, Exception):
-            raise state
-        return DensityMatrix._checked(L.basis, state)
-    return _each_alone(_steady_states, _stack(L))
+    single = isinstance(L, Superoperator)
+    out = _each_alone(_steady_states, [L] if single else _stack(L))
+    if single and isinstance(out[0], Exception):
+        raise out[0]
+    return DensityMatrix._checked(L.basis, out[0]) if single else out
 
 
 def _within(rows: np.ndarray, x_ss: np.ndarray, target: np.ndarray, epsilon: np.ndarray, sec: Sectors) -> np.ndarray:
@@ -354,7 +345,7 @@ def _check_search(epsilon: np.ndarray, t_max_ns: np.ndarray, step_ns: np.ndarray
         if not (math.isfinite(t) and t > 0.0):
             raise DomainError(f"t_max_ns must be positive and finite, got {t}")
         if not (math.isfinite(step) and step > 0.0):
-            raise DomainError(f"step_ns must be positive and finite, got {step}")
+            raise DomainError(f"grid step must be positive and finite, got {step}")
 
 
 def _grid_step(rungs: list, squarings: int, shift: int) -> np.ndarray | None:
@@ -473,62 +464,55 @@ def characteristic_time(
     epsilon: float | Sequence[float] = 0.01,
     t_max_ns: float | Sequence[float] | None = None,
     steady: DensityMatrix | np.ndarray | None = None,
-    step_ns: float | Sequence[float] | None = None,
 ) -> float | list:
     """First time (ns) the state comes within `epsilon` of the steady state.
 
     Marches over [0, t_max] on the blocks of L that the state occupies
-    (`evolve`), in steps of one propagator, with one batched `_within`
-    check per _MARCH_BLOCK steps, to the first step within `epsilon`; the
-    first check also covers the start, where a hit is T0 = 0. The march step
-    is the grid step `step_ns` of a run times the power of two nearest
-    t_max / _COARSE_STEPS, so the march's Padé also gives exp(G step_ns),
-    which it leaves in `L.memo` for `evolve`; without `step_ns` it is
-    t_max / _COARSE_STEPS. The march goes on until its step passes t_max.
-    Then bisects the crossing step to 1% relative precision on the half
-    steps that the march step's Padé squared up through; only a crossing in
-    the first step, which bisects deeper than the _BISECTION_RUNGS half steps
-    kept, runs a second Padé. Distance is trace distance to `steady`, or to
-    the steady state of L.
+    (`evolve`), in steps of t_max / _COARSE_STEPS whose propagator it leaves
+    in `L.memo` for `evolve`, with one batched `_within` check per
+    _MARCH_BLOCK steps, to the first step within `epsilon` (the first check
+    also covers the start, where a hit is T0 = 0) or past t_max; runs and
+    sweeps march at their grid step times the power of two nearest that
+    (`_characteristic_times`). Then bisects the crossing step to 1% relative
+    precision on the half steps that the march step's Padé squared up
+    through; only a crossing in the first step, which bisects deeper than
+    the _BISECTION_RUNGS half steps kept, runs a second Padé. Distance is
+    trace distance to `steady`, or to the steady state of L.
 
-    One generator takes DensityMatrix states and raises DomainError for
-    anything else. A sequence of n same-basis generators is searched as one
-    stack, with one Padé evaluation and one march: `rho0` and `steady`,
-    which must be given, are then (n, d, d) stacks, whose copies are checked
-    as states, so that a bad one raises for the whole call; `epsilon`,
-    `t_max_ns` and `step_ns` are one value or one per generator, and the
-    result is a list holding each generator's T0 or the error that
-    generator raises alone.
+    A sequence of n same-basis generators is searched as one stack, with
+    one Padé evaluation and one march: `rho0` and `steady`, which must be
+    given, are then (n, d, d) stacks, whose copies are checked as states,
+    so that a bad one raises for the whole call; `epsilon` and `t_max_ns`
+    are one value or one per generator, and the result is a list holding
+    each generator's T0 or the error that generator raises alone. One
+    generator takes DensityMatrix states (DomainError for anything else),
+    then has its bounds, steady state and bases checked, and is searched as
+    a stack of one.
     """
     single = isinstance(L, Superoperator)
     n = 1 if single else len(L)
     epsilon = np.full(n, epsilon, dtype=float)
     t_max_ns = np.full(n, DEFAULT_T_MAX_NS if t_max_ns is None else t_max_ns, dtype=float)
-    step_ns = t_max_ns / _COARSE_STEPS if step_ns is None else np.full(n, step_ns, dtype=float)
     if single:
         if not (isinstance(rho0, DensityMatrix) and isinstance(steady, (DensityMatrix, type(None)))):
             raise DomainError("one generator takes its initial and steady states as DensityMatrix")
-        _check_search(epsilon, t_max_ns, step_ns)
-        rho_ss = steady if steady is not None else steady_state(L)
-        if rho0.basis.labels != L.basis.labels or rho_ss.basis.labels != L.basis.labels:
+        _check_search(epsilon, t_max_ns, t_max_ns / _COARSE_STEPS)
+        steady = steady if steady is not None else steady_state(L)
+        if rho0.basis.labels != L.basis.labels or steady.basis.labels != L.basis.labels:
             raise DomainError("initial state, steady state and generator bases differ")
-        liouvs, rho0, steady = [L], rho0.matrix[None], rho_ss.matrix[None]
-    else:
-        if steady is None:
-            raise DomainError("a stack of generators needs its steady states")
-        liouvs = _stack(L)
-        shape = (n, L[0].dim, L[0].dim)
-        if np.shape(rho0) != shape or np.shape(steady) != shape:
-            raise DomainError(
-                f"initial and steady states must be {shape} stacks, got {np.shape(rho0)} and {np.shape(steady)}"
-            )
-        rho0, steady = (physical_states(np.array(s, dtype=complex)) for s in (rho0, steady))
-    out = _each_alone(_characteristic_times, liouvs, rho0, steady, epsilon, t_max_ns, step_ns)
-    if not single:
-        return out
-    if isinstance(out[0], Exception):
+        L, rho0, steady = [L], rho0.matrix[None], steady.matrix[None]
+    if steady is None:
+        raise DomainError("a stack of generators needs its steady states")
+    liouvs = _stack(L)
+    shape = (n, L[0].dim, L[0].dim)
+    if np.shape(rho0) != shape or np.shape(steady) != shape:
+        raise DomainError(f"initial and steady states must be {shape} stacks, "
+                          f"got {np.shape(rho0)} and {np.shape(steady)}")
+    rho0, steady = (physical_states(np.array(s, dtype=complex)) for s in (rho0, steady))
+    out = _each_alone(_characteristic_times, liouvs, rho0, steady, epsilon, t_max_ns, t_max_ns / _COARSE_STEPS)
+    if single and isinstance(out[0], Exception):
         raise out[0]
-    return out[0]
+    return out[0] if single else out
 
 
 def adiabatic_validity(L_full: Superoperator, rho0: DensityMatrix, t_grid_ns: np.ndarray) -> float:

@@ -155,8 +155,6 @@ def _liouvillian(config: ScenarioConfig, parts: dict) -> Superoperator:
             te = coupling.t_e if config.tunneling else 0.0
             parts[h_key] = build_effective_tunneling_hamiltonian(drive, dressed_basis(coupling.delta, te))
         else:
-            if not config.tunneling:
-                coupling = replace(coupling, t_e=0.0)
             parts[h_key] = build_full_hamiltonian(drive, coupling, BasisKind(config.model))
     h = parts[h_key]
     radiative_key = ("radiative", h.basis, drive.gamma0, drive.gamma1)

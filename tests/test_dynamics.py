@@ -559,6 +559,20 @@ def test_t0_search_checks_the_states_it_takes(liouv6, paper_mixture):
     assert characteristic_time([liouv6], rho0s, steady=steadies) == [characteristic_time(liouv6, paper_mixture)]
 
 
+def test_one_generator_search_checks_type_then_bounds_then_steady_state():
+    fig3a = scenario_presets()["fig3a"]
+    config = replace(fig3a, drive=replace(fig3a.drive, omega=0.0))
+    liouv = build_liouvillian(config)
+    rho0 = initial_state(config, liouv.basis)
+    with pytest.raises(DomainError, match="DensityMatrix"):
+        characteristic_time(liouv, rho0.matrix, epsilon=1.5)
+    with pytest.raises(DomainError, match="epsilon"):
+        characteristic_time(liouv, rho0, epsilon=1.5)
+    # without a unique steady state there is nothing to search towards
+    with pytest.raises(DegenerateSteadyStateError):
+        characteristic_time(liouv, rho0)
+
+
 def test_stacked_solves_give_b_the_rank_of_a(liouv6, paper_mixture, monkeypatch):
     # numpy 1.x reads a b of rank a.ndim - 1 as a stack of vectors
     ranks = []

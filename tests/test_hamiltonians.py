@@ -65,6 +65,13 @@ def test_full9_matrix_elements(drive):
     assert abs(m[b.index("01"), b.index("0s")] - drive.omega) < 1e-12
 
 
+def test_full9_reads_no_tunneling(drive):
+    # so a product model's generator takes its coupling as it is, t_e and all
+    h = build_full_hamiltonian(drive, CouplingParams(t_e=0.0), BasisKind.FULL9)
+    tunneled = build_full_hamiltonian(drive, CouplingParams(t_e=2000.0), BasisKind.FULL9)
+    assert h.matrix.tobytes() == tunneled.matrix.tobytes()
+
+
 def test_full9_rejects_effective_basis(drive):
     with pytest.raises(BasisMismatchError):
         build_full_hamiltonian(drive, CouplingParams(), BasisKind.EFFECTIVE6)

@@ -18,7 +18,7 @@ from conftest import (
     to_real,
 )
 from qdm import dissipators, dynamics, scenarios
-from qdm.dynamics import NULL_SINGULAR_VALUE_TOL, characteristic_time
+from qdm.dynamics import NULL_SINGULAR_VALUE_TOL
 from qdm.entanglement import qubit_concurrence
 from qdm.errors import ConfigError, DegenerateSteadyStateError, DomainError, QdmError
 from qdm.params import CouplingParams, DotGeometry, DriveParams, MaterialParams
@@ -476,6 +476,26 @@ def test_sweeps_call_each_solver_layer_once_per_chunk(monkeypatch):
     assert calls.count("initial_state") == 2
 
 
+def test_a_singular_point_keeps_its_chunk_stacked(monkeypatch):
+    """An exactly singular even block at gamma = 0 fails the stacked `inv`;
+    only the inverses are then redone matrix by matrix, not the chunk."""
+    sizes = []
+    solve = dynamics._steady_states
+
+    def counted(liouvs):
+        sizes.append(len(liouvs))
+        return solve(liouvs)
+
+    monkeypatch.setattr(dynamics, "_steady_states", counted)
+    rows = sweep_T0(scenario_presets()["fig3b"], [20.0], [0.001, 2.0, 9.0], [0.0, 1.2]).rows
+    assert sizes == [6]
+    singular = "even block may be singular: 1/||M^-1||_F = 0.000e+00 <= 1e-09"
+    timeout = "state not within 0.1 of the steady state by 30 ns"
+    for row, error in zip(rows[:-1], [singular, timeout] * 2 + [singular], strict=True):
+        assert all(math.isnan(v) for v in row[3:6]) and row[6] == error
+    assert rows[-1] == (20.0, 9.0, 1.2, 0.9999999999999998, 5.59375, 2.220446049250313e-16, "")
+
+
 def _solved_generators(monkeypatch):
     """Make `_solve` record the (config, generator) of each point it solves."""
     seen = []
@@ -636,9 +656,12 @@ def test_a_run_exponentiates_once_on_its_even_block(name, size, t_grid, monkeypa
 def test_the_grid_step_a_t0_search_leaves_is_bitwise_its_pade(t_grid, shift):
     config = dataclasses.replace(scenario_presets()["fig3a_full9"], t_grid=t_grid)
     liouv = build_liouvillian(config)
-    rho0 = initial_state(config, liouv.basis)
+    rho0 = initial_state(config, liouv.basis).matrix[None]
+    steady = dynamics.steady_state(liouv).matrix[None]
     step, t_max = config.times_ns()[1], scenarios._t0_ceiling_ns(config)
     assert round(math.log2(t_max / 256 / step)) == shift
-    characteristic_time(liouv, rho0, config.epsilon_T0, t_max, step_ns=step)
+    dynamics._characteristic_times(
+        [liouv], rho0, steady, np.array([config.epsilon_T0]), np.array([t_max]), np.array([step])
+    )
     assert list(liouv.memo) == [(0, step)]
     assert np.array_equal(liouv.memo[0, step], dynamics._propagator(liouv.blocks[0], step))
